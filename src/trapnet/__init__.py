@@ -18,7 +18,7 @@ from .analysis import (AnalysisError, CriticalPoint, NoTransitionError, NodeRepo
 from .extension import (Field, FourierField, TrapParams, cauchy_extend, even_extend,
                         odd_extend, odd_extend_fourier, synthesize)
 from .generators import (FourierGen, FourierMode, GeneratorError, GeneratorSpec,
-                         ParseError, catalog, catalog_names, eval_fourier, load_spec,
+                         ParseError, catalog, catalog_names, load_spec,
                          parse_fourier, parse_polynomial)
 from .verify import (VerifyConfig, VerifyReport, check_boundary, check_gradient,
                      check_laplace, run_checks, sample_points)
@@ -28,8 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Poly2", "ZSeries", "SymMat2", "SymMat3", "X", "Y", "ONE",
     "GeneratorError", "ParseError", "FourierMode", "FourierGen", "GeneratorSpec",
-    "parse_polynomial", "parse_fourier", "eval_fourier", "catalog", "catalog_names",
-    "load_spec",
+    "parse_polynomial", "parse_fourier", "catalog", "catalog_names", "load_spec",
     "TrapParams", "Field", "FourierField", "odd_extend", "even_extend",
     "cauchy_extend", "odd_extend_fourier", "synthesize",
     "AnalysisError", "NotANodeError", "NotALinePointError", "NoTransitionError",

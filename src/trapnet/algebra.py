@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "Poly2",
     "ZSeries",
+    "Partials",
     "SymMat2",
     "SymMat3",
     "X",
@@ -320,6 +321,36 @@ class ZSeries:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}: {p}" for n, p in sorted(self._layers.items()))
         return f"ZSeries({{{inner}}})"
+
+
+class Partials:
+    """Exact partial derivatives of a Poly2 or ZSeries, each derived once.
+
+    An order is a tuple of per-axis derivative counts in axis order x, y
+    (and z for a series).  The first request for an order differentiates
+    the base exactly and keeps the result for later calls.
+    """
+
+    __slots__ = ("_base", "_memo")
+
+    def __init__(self, base):
+        self._base = base
+        self._memo = {}
+
+    def partials(self, orders, *coords):
+        """Value of each requested partial derivative at the given point."""
+        memo = self._memo
+        out = []
+        for counts in orders:
+            d = memo.get(counts)
+            if d is None:
+                d = self._base
+                for axis, count in zip("xyz", counts):
+                    for _ in range(count):
+                        d = d.diff(axis)
+                memo[counts] = d
+            out.append(d.eval(*coords))
+        return out
 
 
 @dataclass(frozen=True)

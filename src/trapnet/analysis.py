@@ -4,7 +4,8 @@ The guide network is the zero set of the generator P(x, y).  This module
 extracts that set as polylines (marching squares), finds and classifies its
 nodes (critical points of P lying on the zero set), measures local crossing
 angles and multipole order of the continued potential, and evaluates the
-transverse confinement along regular guide-line points.
+transverse confinement along regular guide-line points.  Derivatives come
+from ``partials`` calls, which evaluate every requested order in one pass.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import bisect
 
-from .algebra import Poly2, SymMat2
+from .algebra import Partials, Poly2, SymMat2, ZSeries
 from .extension import Field, synthesize
 from .generators import FourierGen
 
@@ -109,49 +110,33 @@ class PlanarJet:
     """Value, gradient and Hessian of a plane generator at arbitrary points.
 
     Uniform front end over the two generator families; all derivatives are
-    analytic (polynomial differentiation or differentiated mode sums).
+    analytic (exact polynomial differentiation or differentiated mode sums)
+    and every call evaluates the orders it needs in one pass.
     """
 
     def __init__(self, generator):
         if isinstance(generator, Poly2):
-            self._poly = {
-                (0, 0): generator,
-                (1, 0): generator.diff("x"),
-                (0, 1): generator.diff("y"),
-            }
-            self._poly[(2, 0)] = self._poly[(1, 0)].diff("x")
-            self._poly[(1, 1)] = self._poly[(1, 0)].diff("y")
-            self._poly[(0, 2)] = self._poly[(0, 1)].diff("y")
-            self._gen = None
+            self._engine = Partials(generator)
         elif isinstance(generator, FourierGen):
-            self._poly = None
-            self._gen = generator
+            self._engine = generator
         else:
             raise TypeError(f"unsupported generator type {type(generator).__name__}")
 
+    def partials(self, orders, x, y) -> list:
+        """Analytic partial derivatives, one per (nx, ny) order."""
+        return self._engine.partials(orders, x, y)
+
     def deriv(self, nx: int, ny: int, x, y):
-        if self._poly is not None:
-            p = self._poly.get((nx, ny))
-            if p is None:
-                p = self._poly[(0, 0)]
-                for _ in range(nx):
-                    p = p.diff("x")
-                for _ in range(ny):
-                    p = p.diff("y")
-                self._poly[(nx, ny)] = p
-            return p.eval(x, y)
-        return self._gen.deriv(nx, ny, x, y)
+        return self._engine.partials(((nx, ny),), x, y)[0]
 
     def value(self, x, y):
-        return self.deriv(0, 0, x, y)
+        return self._engine.partials(((0, 0),), x, y)[0]
 
     def grad(self, x, y) -> np.ndarray:
-        return np.array([self.deriv(1, 0, x, y), self.deriv(0, 1, x, y)])
+        return np.array(self._engine.partials(((1, 0), (0, 1)), x, y))
 
     def hess(self, x, y) -> np.ndarray:
-        hxx = self.deriv(2, 0, x, y)
-        hxy = self.deriv(1, 1, x, y)
-        hyy = self.deriv(0, 2, x, y)
+        hxx, hxy, hyy = self._engine.partials(((2, 0), (1, 1), (0, 2)), x, y)
         return np.array([[hxx, hxy], [hxy, hyy]])
 
 
@@ -360,11 +345,9 @@ def quadratic_part(generator, point) -> tuple[float, np.ndarray, SymMat2]:
         grad = np.array([q.coeff(1, 0), q.coeff(0, 1)])
         q2 = SymMat2(xx=q.coeff(2, 0), xy=0.5 * q.coeff(1, 1), yy=q.coeff(0, 2))
         return value, grad, q2
-    jet = PlanarJet(generator)
-    value = float(jet.value(x, y))
-    grad = jet.grad(x, y)
-    h = jet.hess(x, y)
-    return value, grad, SymMat2(xx=0.5 * h[0, 0], xy=0.5 * h[0, 1], yy=0.5 * h[1, 1])
+    value, gx, gy, hxx, hxy, hyy = PlanarJet(generator).partials(
+        ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), x, y)
+    return float(value), np.array([gx, gy]), SymMat2(xx=0.5 * hxx, xy=0.5 * hxy, yy=0.5 * hyy)
 
 
 def _crossing_angle(lam_lo: float, lam_hi: float) -> float:
@@ -426,8 +409,7 @@ def multipole_order(field: Field, point3, max_order: int = 4,
     coeffs = _taylor_coefficients(field, x0, y0, z0, max_order)
     top = max((abs(c) for c in coeffs.values()), default=0.0)
     if top == 0.0:
-        pot = field.potential
-        if pot.is_zero() if hasattr(pot, "is_zero") else (pot.p00 == 0.0 and not pot.modes):
+        if field.potential.is_zero():
             raise ValueError("potential is identically zero")
         return max_order + 1  # nonzero field with no terms up to max_order
     for order in range(max_order + 1):
@@ -441,7 +423,7 @@ def multipole_order(field: Field, point3, max_order: int = 4,
 def _taylor_coefficients(field: Field, x0, y0, z0, max_order) -> dict:
     coeffs: dict[tuple[int, int, int], float] = {}
     pot = field.potential
-    if hasattr(pot, "layers"):  # polynomial series: recenter exactly
+    if isinstance(pot, ZSeries):  # recenter exactly
         for n, layer in pot.layers.items():
             shifted = layer.taylor_shift(x0, y0)
             for k in range(0, min(n, max_order) + 1):
@@ -453,12 +435,11 @@ def _taylor_coefficients(field: Field, x0, y0, z0, max_order) -> dict:
                         key = (i, j, k)
                         coeffs[key] = coeffs.get(key, 0.0) + c * zfac
     else:
-        for i in range(max_order + 1):
-            for j in range(max_order + 1 - i):
-                for k in range(max_order + 1 - i - j):
-                    d = field.derivative(i, j, k, x0, y0, z0)
-                    coeffs[(i, j, k)] = d / (
-                        math.factorial(i) * math.factorial(j) * math.factorial(k))
+        orders = [(i, j, k) for i in range(max_order + 1)
+                  for j in range(max_order + 1 - i)
+                  for k in range(max_order + 1 - i - j)]
+        for (i, j, k), d in zip(orders, field.partials(orders, x0, y0, z0)):
+            coeffs[(i, j, k)] = d / (math.factorial(i) * math.factorial(j) * math.factorial(k))
     return coeffs
 
 

@@ -15,6 +15,7 @@ precondition failure.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 
 from .analysis import (AnalysisError, NotALinePointError, PlanarJet, classify_node,
                        null_lines, transverse_confinement)
-from .extension import Field, TrapParams, synthesize
+from .extension import TrapParams, synthesize
 from .generators import GeneratorError, GeneratorSpec, catalog, catalog_names, load_spec
 from .verify import VerifyConfig, run_checks
 
@@ -94,9 +95,6 @@ def _load_generator_spec(ref: str) -> GeneratorSpec:
 
 
 def _trap_params(args) -> TrapParams:
-    given = (args.charge, args.mass, args.omega)
-    if all(v is None for v in given):
-        return TrapParams.normalized()
     return TrapParams(charge=args.charge, mass=args.mass, omega=args.omega)
 
 
@@ -130,28 +128,20 @@ def cmd_sample(args) -> int:
         raise GeneratorError("quantity 'p' is planar; use a 4-value window")
 
     axes = grid.axes
-    if ndim == 2:
-        coords = np.meshgrid(*axes, indexing="ij")
-        zcoord = np.zeros_like(coords[0])
-        header = "x,y,value"
-    else:
-        coords = np.meshgrid(*axes, indexing="ij")
-        zcoord = coords[2]
-        header = "x,y,z,value"
-
+    coords = np.meshgrid(*axes, indexing="ij")
+    x, y = coords[0], coords[1]
+    z = coords[2] if ndim == 3 else np.zeros_like(x)
     if grid.quantity == "p":
-        data = PlanarJet(generator).value(coords[0], coords[1])
+        data = PlanarJet(generator).value(x, y)
     else:
         fld = synthesize(generator, _trap_params(args))
         if grid.quantity == "phi":
-            data = fld.value(coords[0], coords[1], zcoord)
+            data = fld.value(x, y, z)
         elif grid.quantity == "upp":
-            data = fld.pseudopotential(coords[0], coords[1], zcoord)
+            data = fld.pseudopotential(x, y, z)
         else:
-            comps = [fld.derivative(*d, coords[0], coords[1], zcoord)
-                     for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-            data = np.sqrt(sum(np.asarray(c) ** 2 for c in comps))
-    data = np.broadcast_to(np.asarray(data, dtype=float), coords[0].shape)
+            data = np.sqrt(sum(c ** 2 for c in fld.gradient(x, y, z)))
+    values = np.broadcast_to(np.asarray(data, dtype=float), x.shape).ravel().tolist()
 
     if args.format == "json":
         payload = {
@@ -159,17 +149,15 @@ def cmd_sample(args) -> int:
             "window": list(window),
             "counts": list(counts),
             "order": "x-major" + ("" if ndim == 2 else ", z fastest"),
-            "values": [float(v) for v in data.ravel(order="C")],
+            "values": values,
         }
         _write_text(_json_dump(payload), args.out)
     else:
-        lines = [header]
-        it = np.nditer(data, flags=["multi_index"], order="C")
-        for v in it:
-            idx = it.multi_index
-            point = [axes[a][idx[a]] for a in range(ndim)]
-            lines.append(",".join(repr(float(c)) for c in point) + f",{float(v)!r}")
-        _write_text("\n".join(lines) + "\n", args.out)
+        # product() walks the axes in the same C order as ravel()
+        points = itertools.product(*(a.tolist() for a in axes))
+        rows = (",".join(map(repr, (*point, v))) for point, v in zip(points, values))
+        header = "x,y,value" if ndim == 2 else "x,y,z,value"
+        _write_text("\n".join([header, *rows]) + "\n", args.out)
     return EXIT_OK
 
 
@@ -199,7 +187,8 @@ def cmd_analyze(args) -> int:
     try:
         report = classify_node(generator, (x, y), field=fld)
     except AnalysisError:
-        lam_n, lam_z = _line_report(fld, generator, (x, y))
+        # NotALinePointError propagates to the exit-code handler (code 4)
+        lam_n, lam_z = transverse_confinement(fld, generator, (x, y))
         jet = PlanarJet(generator)
         grad = jet.grad(x, y)
         grad_sq = float(grad @ grad)
@@ -225,11 +214,6 @@ def cmd_analyze(args) -> int:
         }
     _write_text(_json_dump(payload), args.out)
     return EXIT_OK
-
-
-def _line_report(fld, generator, point):
-    # NotALinePointError propagates to the exit-code handler (code 4)
-    return transverse_confinement(fld, generator, point)
 
 
 def cmd_verify(args) -> int:

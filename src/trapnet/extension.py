@@ -11,17 +11,23 @@ The ponderomotive potential of a charge in the oscillating field is
 ``U = kappa * |grad(phi)|**2`` with ``kappa = Q**2 / (4 * M * Omega**2)``;
 its gradient and Hessian are assembled from analytic derivatives of the
 potential, never from finite differences.
+
+Each family has one derivative engine, ``partials(orders, *coords)``, which
+returns every requested partial derivative in one pass: memoized exact
+series derivatives for polynomials (:class:`~trapnet.algebra.Partials`), and
+for periodic data one plane wave per mode shared by all orders.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Poly2, SymMat3, ZSeries
-from .generators import FourierGen, FourierMode
+from .algebra import Partials, Poly2, SymMat3, ZSeries
+from .generators import FourierGen
 
 __all__ = [
     "TrapParams",
@@ -67,14 +73,21 @@ class TrapParams:
             return 1.0
         return self.charge**2 / (4.0 * self.mass * self.omega**2)
 
-    @classmethod
-    def normalized(cls) -> "TrapParams":
-        return cls()
-
 
 # ----------------------------------------------------------------------
 # polynomial continuations
 # ----------------------------------------------------------------------
+
+def _continue(q: Poly2, first: int) -> ZSeries:
+    """Series whose layer first+2m is (-1)**m * lap**m applied to q."""
+    layers: dict[int, Poly2] = {}
+    n = first
+    while not q.is_zero():
+        layers[n] = q
+        q = -q.laplacian()
+        n += 2
+    return ZSeries(layers)
+
 
 def odd_extend(p: Poly2) -> ZSeries:
     """Odd harmonic continuation of a plane polynomial source term.
@@ -83,26 +96,12 @@ def odd_extend(p: Poly2) -> ZSeries:
     at most floor(deg/2)+1 layers.  The result vanishes on z=0 and has
     z-derivative p there.
     """
-    layers: dict[int, Poly2] = {}
-    q = p
-    m = 0
-    while not q.is_zero():
-        layers[2 * m + 1] = q
-        q = -q.laplacian()
-        m += 1
-    return ZSeries(layers)
+    return _continue(p, 1)
 
 
 def even_extend(phi0: Poly2) -> ZSeries:
     """Even harmonic continuation with prescribed plane value phi0."""
-    layers: dict[int, Poly2] = {}
-    q = phi0
-    m = 0
-    while not q.is_zero():
-        layers[2 * m] = q
-        q = -q.laplacian()
-        m += 1
-    return ZSeries(layers)
+    return _continue(phi0, 0)
 
 
 def cauchy_extend(phi0: Poly2, phi1: Poly2) -> ZSeries:
@@ -133,77 +132,91 @@ class FourierField:
     """Periodic harmonic potential with a sinh kernel per mode.
 
     The value is ``p00*z + sum_k amp_k * sinh(k z)/k * exp(i k.r)`` over the
-    nonzero modes; it vanishes identically on z=0 and its z-derivative there
-    reproduces the generating mode set.
+    nonzero modes of the generator, whose (0, 0) amplitude is p00.  It
+    vanishes identically on z=0 and its z-derivative there reproduces the
+    generator.
     """
 
-    __slots__ = ("_periods", "_p00", "_modes")
+    __slots__ = ("_gen", "_p00")
 
-    def __init__(self, periods: tuple[float, float], p00: float, modes):
-        self._periods = (float(periods[0]), float(periods[1]))
-        self._p00 = float(p00)
-        cleaned = []
-        for mode in modes:
-            if (mode.m, mode.n) == (0, 0):
-                raise ValueError("mode (0, 0) belongs in p00, not in the mode set")
-            cleaned.append(mode)
-        self._modes = tuple(sorted(cleaned))
+    def __init__(self, gen: FourierGen):
+        self._gen = gen
+        self._p00 = gen.amplitude(0, 0).real
 
     @property
-    def periods(self) -> tuple[float, float]:
-        return self._periods
+    def gen(self) -> FourierGen:
+        return self._gen
 
     @property
     def p00(self) -> float:
         return self._p00
 
-    @property
-    def modes(self) -> tuple[FourierMode, ...]:
-        return self._modes
+    def is_zero(self) -> bool:
+        return not any(mode.amp for mode in self._gen.modes)
 
-    def wavevector(self, mode: FourierMode) -> tuple[float, float, float]:
-        kx = 2 * math.pi * mode.m / self._periods[0]
-        ky = 2 * math.pi * mode.n / self._periods[1]
-        return kx, ky, math.hypot(kx, ky)
+    def partials(self, orders, x, y, z):
+        """Analytic partial derivatives, one per (nx, ny, nz) order.
 
-    def deriv_eval(self, nx: int, ny: int, nz: int, x, y, z):
-        """Analytic partial derivative d^(nx,ny,nz) of the potential."""
-        acc = 0.0
-        for mode in self._modes:
-            kx, ky, k = self.wavevector(mode)
-            plane = (1j * kx) ** nx * (1j * ky) ** ny
-            if plane == 0:
+        Each mode's plane wave is computed once and shared by every order.
+        """
+        accs = [0.0] * len(orders)
+        for mode in self._gen.modes:
+            if (mode.m, mode.n) == (0, 0):
                 continue
-            wave = np.exp(1j * (kx * np.asarray(x) + ky * np.asarray(y)))
-            acc = acc + mode.amp * plane * _sinh_kernel(k, z, nz) * wave
-        acc = np.real(acc)
-        if nx == 0 and ny == 0:
-            if nz == 0:
-                acc = acc + self._p00 * np.asarray(z, dtype=float)
-            elif nz == 1:
-                acc = acc + self._p00
-        return float(acc) if np.ndim(acc) == 0 else acc
+            kx, ky = self._gen.wavevector(mode)
+            k = math.hypot(kx, ky)
+            coeffs = []
+            for i, (nx, ny, nz) in enumerate(orders):
+                plane = (1j * kx) ** nx * (1j * ky) ** ny
+                if plane != 0:
+                    coeffs.append((i, mode.amp * plane, nz))
+            if not coeffs:
+                continue
+            # as in FourierGen.partials: the wave is freed after its last use
+            waves = [np.exp(1j * (kx * x + ky * y))] * len(coeffs)
+            for i, coeff, nz in coeffs:
+                accs[i] = accs[i] + coeff * _sinh_kernel(k, z, nz) * waves.pop()
+        out = []
+        for (nx, ny, nz), acc in zip(orders, accs):
+            acc = np.real(acc)
+            if nx == 0 and ny == 0:
+                if nz == 0:
+                    acc = acc + self._p00 * np.asarray(z, dtype=float)
+                elif nz == 1:
+                    acc = acc + self._p00
+            out.append(float(acc) if np.ndim(acc) == 0 else acc)
+        return out
 
     def eval(self, x, y, z):
-        return self.deriv_eval(0, 0, 0, x, y, z)
+        return self.partials(((0, 0, 0),), x, y, z)[0]
 
     def __repr__(self) -> str:
-        return (f"FourierField(periods={self._periods}, p00={self._p00}, "
-                f"modes={self._modes!r})")
+        return f"FourierField({self._gen!r})"
 
 
 def odd_extend_fourier(gen: FourierGen) -> FourierField:
     """Odd harmonic continuation of a periodic generator, mode by mode."""
-    p00 = gen.amplitude(0, 0).real
-    modes = [m for m in gen.modes if (m.m, m.n) != (0, 0)]
-    return FourierField(gen.periods, p00, modes)
+    return FourierField(gen)
 
 
 # ----------------------------------------------------------------------
 # unified field interface
 # ----------------------------------------------------------------------
 
-_AXES = "xyz"
+_GRADIENT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# in the field order of SymMat3
+_HESSIAN = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+# index triples a <= b <= c of the symmetric third-derivative tensor
+_TRIPLES = tuple((a, b, c) for a in range(3) for b in range(a, 3) for c in range(b, 3))
+_THIRD = tuple(tuple(t.count(axis) for axis in range(3)) for t in _TRIPLES)
+
+
+def _third_tensor(values) -> np.ndarray:
+    out = np.zeros((3, 3, 3))
+    for triple, val in zip(_TRIPLES, values):
+        for perm in itertools.permutations(triple):
+            out[perm] = val
+    return out
 
 
 class Field:
@@ -215,61 +228,41 @@ class Field:
     """
 
     def __init__(self, potential, params: TrapParams | None = None):
-        if not isinstance(potential, (ZSeries, FourierField)):
+        if isinstance(potential, ZSeries):
+            self._engine = Partials(potential)
+        elif isinstance(potential, FourierField):
+            self._engine = potential
+        else:
             raise TypeError(f"unsupported potential type {type(potential).__name__}")
         self.potential = potential
-        self.params = params or TrapParams.normalized()
-        self._series_memo: dict[tuple[int, int, int], ZSeries] = {}
+        self.params = params or TrapParams()
 
     @property
     def kappa(self) -> float:
         return self.params.kappa
 
+    def partials(self, orders, x, y, z) -> list:
+        """Analytic partial derivatives, one per (nx, ny, nz) order."""
+        return self._engine.partials(orders, x, y, z)
+
     def derivative(self, nx: int, ny: int, nz: int, x, y, z):
         """Analytic partial derivative of the potential at a point."""
-        if isinstance(self.potential, FourierField):
-            return self.potential.deriv_eval(nx, ny, nz, x, y, z)
-        key = (nx, ny, nz)
-        series = self._series_memo.get(key)
-        if series is None:
-            series = self.potential
-            for axis, count in zip(_AXES, key):
-                for _ in range(count):
-                    series = series.diff(axis)
-            self._series_memo[key] = series
-        return series.eval(x, y, z)
+        return self._engine.partials(((nx, ny, nz),), x, y, z)[0]
 
     def value(self, x, y, z):
-        return self.derivative(0, 0, 0, x, y, z)
+        return self._engine.partials(((0, 0, 0),), x, y, z)[0]
 
     def gradient(self, x, y, z) -> np.ndarray:
-        return np.array([
-            self.derivative(1, 0, 0, x, y, z),
-            self.derivative(0, 1, 0, x, y, z),
-            self.derivative(0, 0, 1, x, y, z),
-        ])
+        g = self._engine.partials(_GRADIENT, x, y, z)
+        # on a grid, a derivative that vanishes identically is a scalar 0.0
+        return np.array(np.broadcast_arrays(*g) if np.ndim(x) else g)
 
     def hessian(self, x, y, z) -> SymMat3:
-        d = self.derivative
-        return SymMat3(
-            xx=d(2, 0, 0, x, y, z), xy=d(1, 1, 0, x, y, z), xz=d(1, 0, 1, x, y, z),
-            yy=d(0, 2, 0, x, y, z), yz=d(0, 1, 1, x, y, z), zz=d(0, 0, 2, x, y, z),
-        )
+        return SymMat3(*self._engine.partials(_HESSIAN, x, y, z))
 
     def third(self, x, y, z) -> np.ndarray:
         """Symmetric third-derivative tensor, shape (3, 3, 3)."""
-        out = np.zeros((3, 3, 3))
-        for a in range(3):
-            for b in range(a, 3):
-                for c in range(b, 3):
-                    counts = [0, 0, 0]
-                    for ax in (a, b, c):
-                        counts[ax] += 1
-                    val = self.derivative(*counts, x, y, z)
-                    for perm in {(a, b, c), (a, c, b), (b, a, c),
-                                 (b, c, a), (c, a, b), (c, b, a)}:
-                        out[perm] = val
-        return out
+        return _third_tensor(self._engine.partials(_THIRD, x, y, z))
 
     # ------------------------------------------------------------------
     # ponderomotive potential
@@ -277,20 +270,20 @@ class Field:
 
     def pseudopotential(self, x, y, z):
         """kappa * |grad(phi)|**2; accepts scalars or numpy arrays."""
-        gx = self.derivative(1, 0, 0, x, y, z)
-        gy = self.derivative(0, 1, 0, x, y, z)
-        gz = self.derivative(0, 0, 1, x, y, z)
+        gx, gy, gz = self._engine.partials(_GRADIENT, x, y, z)
         return self.kappa * (gx * gx + gy * gy + gz * gz)
 
     def pseudopotential_gradient(self, x, y, z) -> np.ndarray:
-        g = self.gradient(x, y, z)
-        h = self.hessian(x, y, z).as_array()
+        d = self._engine.partials(_GRADIENT + _HESSIAN, x, y, z)
+        g = np.array(d[:3])
+        h = SymMat3(*d[3:]).as_array()
         return 2.0 * self.kappa * h @ g
 
     def pseudopotential_hessian(self, x, y, z) -> SymMat3:
-        g = self.gradient(x, y, z)
-        h = self.hessian(x, y, z).as_array()
-        t = self.third(x, y, z)
+        d = self._engine.partials(_GRADIENT + _HESSIAN + _THIRD, x, y, z)
+        g = np.array(d[:3])
+        h = SymMat3(*d[3:9]).as_array()
+        t = _third_tensor(d[9:])
         hess = 2.0 * self.kappa * (h @ h + np.tensordot(t, g, axes=([2], [0])))
         return SymMat3.from_array(hess)
 

@@ -41,7 +41,6 @@ __all__ = [
     "GeneratorSpec",
     "parse_polynomial",
     "parse_fourier",
-    "eval_fourier",
     "catalog",
     "catalog_names",
     "load_spec",
@@ -447,26 +446,35 @@ class FourierGen:
                 out[(mode.m, mode.n)] = 2.0 * mode.amp.real
         return out
 
-    def eval(self, x, y):
-        """Real-space value; accepts scalars or numpy arrays."""
-        acc = 0.0
+    def partials(self, orders, x, y):
+        """Analytic partial derivatives, one per (nx, ny) order; real-valued.
+
+        Each mode's plane wave is computed once and shared by every order.
+        """
+        accs = [0.0] * len(orders)
         for mode in self._modes:
             kx, ky = self.wavevector(mode)
-            acc = acc + mode.amp * np.exp(1j * (kx * np.asarray(x) + ky * np.asarray(y)))
-        real = np.real(acc)
-        return float(real) if np.ndim(real) == 0 else real
+            coeffs = []
+            for i, (nx, ny) in enumerate(orders):
+                factor = (1j * kx) ** nx * (1j * ky) ** ny
+                if factor != 0:
+                    coeffs.append((i, mode.amp * factor))
+            if not coeffs:
+                continue
+            # one reference per order: the last order holds the only one, so
+            # numpy reuses the wave's buffer for its product and frees it
+            waves = [np.exp(1j * (kx * x + ky * y))] * len(coeffs)
+            for i, coeff in coeffs:
+                accs[i] = accs[i] + coeff * waves.pop()
+        return [float(r) if np.ndim(r) == 0 else r for r in map(np.real, accs)]
+
+    def eval(self, x, y):
+        """Real-space value; accepts scalars or numpy arrays."""
+        return self.partials(((0, 0),), x, y)[0]
 
     def deriv(self, nx: int, ny: int, x, y):
         """Analytic partial derivative of order (nx, ny); real-valued."""
-        acc = 0.0
-        for mode in self._modes:
-            kx, ky = self.wavevector(mode)
-            factor = (1j * kx) ** nx * (1j * ky) ** ny
-            if factor == 0:
-                continue
-            acc = acc + mode.amp * factor * np.exp(1j * (kx * np.asarray(x) + ky * np.asarray(y)))
-        real = np.real(acc)
-        return float(real) if np.ndim(real) == 0 else real
+        return self.partials(((nx, ny),), x, y)[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FourierGen):
@@ -503,11 +511,6 @@ def parse_fourier(expr: str, periods: tuple[float, float],
                 f"({lx:g}, {ly:g}): mode indices ({m:g}, {n:g}) are not integers")
         modes.append(FourierMode(mi, ni, amp))
     return FourierGen((lx, ly), modes)
-
-
-def eval_fourier(gen: FourierGen, x, y):
-    """Value of a periodic generator at (x, y)."""
-    return gen.eval(x, y)
 
 
 # ----------------------------------------------------------------------

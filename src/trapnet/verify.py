@@ -1,8 +1,9 @@
 """Independent finite-difference checks of a synthesized field.
 
 Everything here is an oracle: the stencils consume only point values of the
-potential, never its analytic derivative code paths, so agreement between
-the two is evidence rather than tautology.  Central second-order stencils
+potential through ``Field.value``, never its derivative orders, so agreement
+with ``Field.gradient`` is evidence rather than tautology.  The plane
+reference P comes from the generator itself.  Central second-order stencils
 are used throughout with a default step of 1e-4 in normalized units.
 """
 
@@ -140,25 +141,19 @@ def check_laplace(fld: Field, points, h: float = DEFAULT_H,
     return residual / scale
 
 
-def check_boundary(fld: Field, generator, points_xy, h: float = DEFAULT_H,
-                   method: str = "analytic") -> tuple[float, float]:
+def check_boundary(fld: Field, generator, points_xy,
+                   h: float = DEFAULT_H) -> tuple[float, float]:
     """Plane conditions: max |phi(x, y, 0)| and max |d_z phi(x, y, 0) - P|.
 
-    ``method`` selects how the z-slope is obtained: "analytic" uses the
-    field's own derivative, "fd" uses a central difference on values only
-    (the independent path).
+    The z-slope is a central difference of field values, compared with the
+    generator's own plane value P.
     """
-    if method not in ("analytic", "fd"):
-        raise ValueError(f"method must be 'analytic' or 'fd', got {method!r}")
     jet = PlanarJet(generator)
     max_value = 0.0
     max_slope = 0.0
     for x, y in np.asarray(points_xy, dtype=float):
         max_value = max(max_value, abs(float(fld.value(x, y, 0.0))))
-        if method == "analytic":
-            slope = float(fld.derivative(0, 0, 1, x, y, 0.0))
-        else:
-            slope = (float(fld.value(x, y, h)) - float(fld.value(x, y, -h))) / (2.0 * h)
+        slope = (float(fld.value(x, y, h)) - float(fld.value(x, y, -h))) / (2.0 * h)
         max_slope = max(max_slope, abs(slope - float(jet.value(x, y))))
     return max_value, max_slope
 
@@ -168,7 +163,7 @@ def run_checks(fld: Field, generator, config: VerifyConfig = VerifyConfig()) -> 
     pts = sample_points(config.window, config.samples, config.seed)
     grad_err = check_gradient(fld, pts, config.h)
     lap_res = check_laplace(fld, pts, config.h)
-    bval, bslope = check_boundary(fld, generator, pts[:, :2], config.h, method="fd")
+    bval, bslope = check_boundary(fld, generator, pts[:, :2], config.h)
     passed = (grad_err < config.tol_gradient
               and lap_res < config.tol_laplace
               and bval < config.tol_boundary_value

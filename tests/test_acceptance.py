@@ -111,7 +111,7 @@ def test_criterion_6_harmonicity_and_boundary():
     for gen, kind in fields:
         fld = synthesize(gen)
         assert check_laplace(fld, pts) < 1e-6
-        max_value, max_slope = check_boundary(fld, gen, pts[:, :2], method="fd")
+        max_value, max_slope = check_boundary(fld, gen, pts[:, :2])
         assert max_value < 1e-12
         assert max_slope < 1e-7
     # fault injection: perturbing one layer must be detected

@@ -5,8 +5,8 @@ import pytest
 
 from trapnet import (NoTransitionError, NotALinePointError, NotANodeError, PlanarJet,
                      Poly2, X, Y, catalog, classify_node, critical_points,
-                     multipole_order, null_lines, quadratic_part, synthesize,
-                     threshold_scan, transverse_confinement)
+                     multipole_order, null_lines, parse_fourier, quadratic_part,
+                     synthesize, threshold_scan, transverse_confinement)
 
 PI2 = math.pi**2
 
@@ -225,6 +225,14 @@ def test_multipole_cross_is_hexapole():
 def test_multipole_generic_point_is_order_zero():
     f = synthesize(catalog("cusp").compile())
     assert multipole_order(f, (0.5, 0.5, 0.3)) == 0
+
+
+def test_multipole_rejects_identically_zero_potential():
+    for gen in (Poly2(), parse_fourier("0", (2.0, 2.0))):
+        with pytest.raises(ValueError, match="identically zero"):
+            multipole_order(synthesize(gen), (0.3, 0.1, 0.0))
+    # the mean mode alone is not zero: phi = z has a dipole term
+    assert multipole_order(synthesize(parse_fourier("1", (2.0, 2.0))), (0.3, 0.1, 0.0)) == 1
 
 
 def test_multipole_order_beyond_four_reported_as_five():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
-from trapnet import (Field, FourierField, Poly2, TrapParams, X, Y, ZSeries, catalog,
-                     cauchy_extend, even_extend, odd_extend, odd_extend_fourier,
-                     parse_fourier, synthesize)
+from trapnet import (Field, Poly2, TrapParams, X, Y, ZSeries, catalog, cauchy_extend,
+                     even_extend, odd_extend, odd_extend_fourier, parse_fourier,
+                     sample_points, synthesize)
 from trapnet.extension import _sinh_kernel
 
 CUSP = Y**2 - X**3
@@ -129,7 +129,7 @@ def test_extension_linearity_layerwise():
 def test_fourier_constant_gives_linear_field():
     f = odd_extend_fourier(parse_fourier("1", (2.0, 2.0)))
     assert f.p00 == 1.0
-    assert f.modes == ()
+    assert [(mode.m, mode.n) for mode in f.gen.modes] == [(0, 0)]
     for z in (-1.3, 0.0, 2.4):
         assert f.eval(0.7, 0.1, z) == pytest.approx(z)
 
@@ -144,21 +144,16 @@ def test_fourier_single_cosine_sinh_kernel():
 def test_fourier_round_slope_vanishes_at_node():
     gen = catalog("round", {"c": 0.25}).compile()
     f = odd_extend_fourier(gen)
-    assert len(f.modes) == 12  # 6 Hermitian cosine pairs; (0, 0) went to p00
+    assert f.gen is gen
+    assert len(gen.modes) == 13  # 6 Hermitian cosine pairs and (0, 0), which is p00
     assert f.p00 == pytest.approx(-0.75)
-    assert f.deriv_eval(0, 0, 1, 1.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-13)
+    assert f.partials(((0, 0, 1),), 1.0, 0.0, 0.0)[0] == pytest.approx(0.0, abs=1e-13)
     # z-slope on the plane reproduces the generator everywhere
     rng = np.random.default_rng(13)
     for x, y in rng.uniform(-2, 2, size=(25, 2)):
-        assert f.deriv_eval(0, 0, 1, x, y, 0.0) == pytest.approx(gen.eval(x, y), abs=1e-12)
+        assert f.partials(((0, 0, 1),), x, y, 0.0)[0] == pytest.approx(gen.eval(x, y),
+                                                                       abs=1e-12)
         assert f.eval(x, y, 0.0) == 0.0
-
-
-def test_fourier_field_rejects_zero_mode():
-    gen = parse_fourier("1 + cos(pi*x)", (2.0, 2.0))
-    assert gen.amplitude(0, 0) == 1.0
-    with pytest.raises(ValueError, match="p00"):
-        FourierField((2.0, 2.0), 0.0, gen.modes)
 
 
 def test_sinh_kernel_small_z_branch():
@@ -176,6 +171,25 @@ def test_sinh_kernel_small_z_branch():
 # ----------------------------------------------------------------------
 # field interface
 # ----------------------------------------------------------------------
+
+BOX2 = (-2.0, 2.0, -2.0, 2.0, -2.0, 2.0)
+
+
+def test_boundary_cusp_analytic():
+    f = synthesize(CUSP)
+    for x, y in sample_points(BOX2, 100, seed=2)[:, :2]:
+        assert f.value(x, y, 0.0) == 0.0
+        assert abs(f.derivative(0, 0, 1, x, y, 0.0) - CUSP.eval(x, y)) < 1e-12
+
+
+def test_boundary_round_against_mode_sum():
+    gen = catalog("round", {"c": 0.25}).compile()
+    f = synthesize(gen)
+    # the analytic slope at z=0 is the mode sum itself
+    for x, y in sample_points(BOX2, 100, seed=2)[:, :2]:
+        assert abs(f.value(x, y, 0.0)) < 1e-13
+        assert abs(f.derivative(0, 0, 1, x, y, 0.0) - gen.eval(x, y)) < 1e-12
+
 
 def test_gradient_linear_guide_null_line():
     f = synthesize(X)
@@ -248,7 +262,7 @@ def test_round_node_has_no_first_order_confinement():
 
 
 def test_trap_params():
-    assert TrapParams.normalized().kappa == 1.0
+    assert TrapParams().kappa == 1.0
     p = TrapParams(charge=2.0, mass=4.0, omega=0.5)
     assert p.kappa == pytest.approx(2.0**2 / (4 * 4.0 * 0.25))
     with pytest.raises(ValueError):

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import random_poly
 from trapnet import (Field, Poly2, VerifyConfig, X, Y, ZSeries, catalog, cauchy_extend,
-                     check_boundary, check_gradient, check_laplace, eval_fourier,
-                     odd_extend, run_checks, sample_points, synthesize)
+                     check_boundary, check_gradient, check_laplace, odd_extend, run_checks,
+                     sample_points, synthesize)
 
 CUSP = Y**2 - X**3
 BOX2 = (-2.0, 2.0, -2.0, 2.0, -2.0, 2.0)
@@ -63,31 +63,10 @@ def test_laplace_detects_corrupted_series():
     assert check_laplace(corrupted_cusp_field(), pts) > 1e-2
 
 
-def test_boundary_cusp_analytic():
-    pts = sample_points(BOX2, 100, seed=2)[:, :2]
-    f = synthesize(CUSP)
-    max_value, max_slope = check_boundary(f, CUSP, pts, method="analytic")
-    assert max_value == 0.0
-    assert max_slope < 1e-12
-
-
-def test_boundary_round_against_mode_sum():
-    gen = catalog("round", {"c": 0.25}).compile()
-    f = synthesize(gen)
-    pts = sample_points(BOX2, 100, seed=2)[:, :2]
-    max_value, max_slope = check_boundary(f, gen, pts, method="analytic")
-    assert max_value < 1e-13
-    assert max_slope < 1e-12
-    # the analytic slope at z=0 is the mode sum itself
-    for x, y in pts[:10]:
-        assert f.derivative(0, 0, 1, x, y, 0.0) == pytest.approx(
-            eval_fourier(gen, x, y), abs=1e-12)
-
-
 def test_boundary_fd_path():
     pts = sample_points((-0.75, 0.75) * 3, 100, seed=2)[:, :2]
     f = synthesize(CUSP)
-    max_value, max_slope = check_boundary(f, CUSP, pts, method="fd")
+    max_value, max_slope = check_boundary(f, CUSP, pts)
     assert max_value == 0.0
     assert max_slope < 1e-7
 
@@ -98,12 +77,6 @@ def test_boundary_even_part_carries_datum():
     rng = np.random.default_rng(6)
     for x, y in rng.uniform(-2, 2, size=(100, 2)):
         assert abs(f.value(x, y, 0.0) - x**2) < 1e-12
-
-
-def test_boundary_rejects_unknown_method():
-    f = synthesize(CUSP)
-    with pytest.raises(ValueError):
-        check_boundary(f, CUSP, [(0.0, 0.0)], method="magic")
 
 
 def test_fd_convergence_is_second_order():
@@ -136,7 +109,7 @@ def test_laplace_oracle_uses_values_only():
 def test_boundary_fd_oracle_uses_values_only():
     stub = _ValueOnly(synthesize(CUSP))
     pts = sample_points((-1, 1) * 3, 10, seed=0)[:, :2]
-    max_value, max_slope = check_boundary(stub, CUSP, pts, method="fd")
+    max_value, max_slope = check_boundary(stub, CUSP, pts)
     assert max_value == 0.0
     assert max_slope < 1e-6
 
