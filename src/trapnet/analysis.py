@@ -30,6 +30,7 @@ __all__ = [
     "CriticalPoint",
     "NodeReport",
     "PlanarJet",
+    "validate_window",
     "null_lines",
     "critical_points",
     "quadratic_part",
@@ -140,6 +141,22 @@ class PlanarJet:
         return np.array([[hxx, hxy], [hxy, hyy]])
 
 
+def validate_window(window, axes: int) -> tuple[float, ...]:
+    """Return a window of (lo, hi) bounds per axis as floats, checked.
+
+    Raises ValueError unless there are ``axes`` pairs, every bound is finite
+    and hi > lo on every axis.
+    """
+    bounds = tuple(float(v) for v in window)
+    if len(bounds) != 2 * axes:
+        raise ValueError(f"window needs {2 * axes} bounds, got {len(bounds)}")
+    if not all(math.isfinite(v) for v in bounds):
+        raise ValueError(f"window bounds must be finite, got {bounds}")
+    if not all(hi > lo for lo, hi in zip(bounds[::2], bounds[1::2])):
+        raise ValueError(f"window ranges must be non-degenerate (hi > lo), got {bounds}")
+    return bounds
+
+
 # ----------------------------------------------------------------------
 # null-line extraction (marching squares)
 # ----------------------------------------------------------------------
@@ -147,7 +164,6 @@ class PlanarJet:
 # cell corners: c0=(i,j) c1=(i+1,j) c2=(i+1,j+1) c3=(i,j+1); bit set = value < 0
 # cell edges:   e0 bottom (c0-c1), e1 right (c1-c2), e2 top (c3-c2), e3 left (c0-c3)
 _CASES: dict[int, list[tuple[int, int]]] = {
-    0: [], 15: [],
     1: [(3, 0)], 14: [(3, 0)],
     2: [(0, 1)], 13: [(0, 1)],
     3: [(3, 1)], 12: [(3, 1)],
@@ -166,59 +182,61 @@ _SADDLE = {
 def null_lines(generator, window, resolution: int) -> list[Polyline]:
     """Extract the zero set of the generator inside a window as polylines.
 
-    ``window`` is (x0, x1, y0, y1); ``resolution`` is the number of grid
-    samples per axis (>= 2).  Vertices sit on grid-cell edges by linear
-    interpolation; saddle-ambiguous cells are resolved by the sign of a
-    cell-center sample.  An empty list means no zeros in the window.
+    ``window`` is (x0, x1, y0, y1), finite with x1 > x0 and y1 > y0;
+    ``resolution`` is the number of grid samples per axis (>= 2).  Vertices
+    sit on grid-cell edges by linear interpolation; saddle-ambiguous cells
+    are resolved by the sign of a cell-center sample.  The cell masks and
+    the edge interpolations are computed as arrays over the whole grid; the
+    Python loop visits only the cells that the zero set crosses.  An empty
+    list means no zeros in the window.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    x0, x1, y0, y1 = (float(v) for v in window)
+    x0, x1, y0, y1 = validate_window(window, 2)
     jet = PlanarJet(generator)
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    values = np.asarray(jet.value(gx, gy), dtype=float)
+    # a constant generator evaluates to a scalar
+    values = np.broadcast_to(np.asarray(jet.value(gx, gy), dtype=float), gx.shape)
+    neg = values < 0.0
 
     # vertices are keyed by their exact position so that crossings through a
-    # grid corner (interpolation parameter clamped to 0 or 1) merge cleanly
+    # grid corner (interpolation parameter clamped to 0 or 1) merge cleanly;
+    # only sign-changing edges carry one.  Evaluations sum from +0.0 and so
+    # never return -0.0, which is where np.maximum and the scalar max differ.
     edge_pos: dict[tuple, tuple[float, float]] = {}
+    ei, ej = np.nonzero(neg[:-1, :] != neg[1:, :])
+    va, vb = values[ei, ej], values[ei + 1, ej]
+    t = np.minimum(np.maximum(va / (va - vb), 0.0), 1.0)
+    px = xs[ei] + t * (xs[ei + 1] - xs[ei])
+    for i, j, x, y in zip(ei.tolist(), ej.tolist(), px.tolist(), ys[ej].tolist()):
+        edge_pos["x", i, j] = (x, y)
+    ei, ej = np.nonzero(neg[:, :-1] != neg[:, 1:])
+    va, vb = values[ei, ej], values[ei, ej + 1]
+    t = np.minimum(np.maximum(va / (va - vb), 0.0), 1.0)
+    py = ys[ej] + t * (ys[ej + 1] - ys[ej])
+    for i, j, x, y in zip(ei.tolist(), ej.tolist(), xs[ei].tolist(), py.tolist()):
+        edge_pos["y", i, j] = (x, y)
 
-    def vertex(kind, i, j):
-        key = (kind, i, j)
-        pos = edge_pos.get(key)
-        if pos is None:
-            if kind == "x":
-                va, vb = values[i, j], values[i + 1, j]
-                t = min(max(va / (va - vb), 0.0), 1.0)
-                pos = (float(xs[i] + t * (xs[i + 1] - xs[i])), float(ys[j]))
-            else:
-                va, vb = values[i, j], values[i, j + 1]
-                t = min(max(va / (va - vb), 0.0), 1.0)
-                pos = (float(xs[i]), float(ys[j] + t * (ys[j + 1] - ys[j])))
-            edge_pos[key] = pos
-        return pos
-
-    neg = values < 0.0
+    bits = neg.view(np.uint8)
+    masks = (bits[:-1, :-1] | bits[1:, :-1] << 1
+             | bits[1:, 1:] << 2 | bits[:-1, 1:] << 3)
+    ci, cj = np.nonzero((masks != 0) & (masks != 15))  # row-major, as i then j
     segments: list[tuple[tuple, tuple]] = []
-    for i in range(resolution - 1):
-        for j in range(resolution - 1):
-            mask = (int(neg[i, j]) | int(neg[i + 1, j]) << 1
-                    | int(neg[i + 1, j + 1]) << 2 | int(neg[i, j + 1]) << 3)
-            if mask in _SADDLE:
-                cx = 0.5 * (xs[i] + xs[i + 1])
-                cy = 0.5 * (ys[j] + ys[j + 1])
-                pairs = _SADDLE[mask][bool(jet.value(cx, cy) < 0.0)]
-            else:
-                pairs = _CASES[mask]
-            if not pairs:
-                continue
-            cell_edges = (("x", i, j), ("y", i + 1, j), ("x", i, j + 1), ("y", i, j))
-            for ea, eb in pairs:
-                pa = vertex(*cell_edges[ea])
-                pb = vertex(*cell_edges[eb])
-                if pa != pb:
-                    segments.append((pa, pb))
+    for i, j, mask in zip(ci.tolist(), cj.tolist(), masks[ci, cj].tolist()):
+        if mask in _SADDLE:
+            cx = 0.5 * (xs[i] + xs[i + 1])
+            cy = 0.5 * (ys[j] + ys[j + 1])
+            pairs = _SADDLE[mask][bool(jet.value(cx, cy) < 0.0)]
+        else:
+            pairs = _CASES[mask]
+        cell_edges = (("x", i, j), ("y", i + 1, j), ("x", i, j + 1), ("y", i, j))
+        for ea, eb in pairs:
+            pa = edge_pos[cell_edges[ea]]
+            pb = edge_pos[cell_edges[eb]]
+            if pa != pb:
+                segments.append((pa, pb))
 
     return _chain_segments(segments)
 
@@ -269,9 +287,10 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
     Seeds that do not converge are dropped (logged at debug level).  Refined
     points are deduplicated within 1e-6 and flagged as network nodes when
     |P| < 1e-8 there.  Near-singular Hessians (cusp-type nodes) fall back to
-    a Tikhonov-damped least-squares step.
+    a Tikhonov-damped least-squares step.  ``window`` must be finite with
+    x1 > x0 and y1 > y0.
     """
-    x0, x1, y0, y1 = (float(v) for v in window)
+    x0, x1, y0, y1 = validate_window(window, 2)
     jet = PlanarJet(generator)
     span = max(x1 - x0, y1 - y0)
     seeds = [(sx, sy)
@@ -299,6 +318,10 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
     return out
 
 
+# gradient and Hessian of P, fetched together: one jet per Newton iteration
+_NEWTON_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
 def _refine_newton(jet: PlanarJet, p: np.ndarray, span: float,
                    max_iter: int = 120) -> np.ndarray | None:
     # iterate to step-size convergence, not just to the gradient tolerance:
@@ -306,12 +329,14 @@ def _refine_newton(jet: PlanarJet, p: np.ndarray, span: float,
     # admits a region wider than the deduplication radius
     max_step = 0.25 * span
     step_floor = 1e-13 * max(span, 1.0)
+    bound = 1e6 * max(span, 1.0)
     for _ in range(max_iter):
-        g = jet.grad(p[0], p[1])
-        if g[0] == 0.0 and g[1] == 0.0:
+        gx, gy, hxx, hxy, hyy = jet.partials(_NEWTON_ORDERS, p[0], p[1])
+        if gx == 0.0 and gy == 0.0:
             break
-        h = jet.hess(p[0], p[1])
-        scale = max(np.abs(h).max(), 1e-30)
+        g = np.array([gx, gy])
+        h = np.array([[hxx, hxy], [hxy, hyy]])
+        scale = max(abs(hxx), abs(hxy), abs(hyy), 1e-30)
         if abs(np.linalg.det(h)) > 1e-12 * scale * scale:
             step = np.linalg.solve(h, -g)
         else:
@@ -322,7 +347,8 @@ def _refine_newton(jet: PlanarJet, p: np.ndarray, span: float,
         if norm > max_step:
             step *= max_step / norm
         p = p + step
-        if not np.all(np.isfinite(p)) or np.abs(p).max() > 1e6 * max(span, 1.0):
+        x, y = p.tolist()
+        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > bound:
             return None
         if norm < step_floor:
             break

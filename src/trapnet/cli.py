@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (AnalysisError, NotALinePointError, PlanarJet, classify_node,
-                       null_lines, transverse_confinement)
+                       null_lines, transverse_confinement, validate_window)
 from .extension import TrapParams, synthesize
 from .generators import GeneratorError, GeneratorSpec, catalog, catalog_names, load_spec
 from .verify import VerifyConfig, run_checks
@@ -46,13 +46,11 @@ class GridSpec:
     quantity: str = "upp"
 
     def __post_init__(self):
-        if len(self.window) not in (4, 6) or len(self.window) != 2 * len(self.counts):
-            raise ValueError("window and counts describe different dimensions")
+        if len(self.window) not in (4, 6):
+            raise ValueError("a grid window has 4 or 6 bounds")
+        validate_window(self.window, len(self.counts))
         if any(c < 2 for c in self.counts):
             raise ValueError("grid counts must be at least 2")
-        for lo, hi in zip(self.window[::2], self.window[1::2]):
-            if not hi > lo:
-                raise ValueError("grid ranges must be non-degenerate")
         if self.quantity not in QUANTITIES:
             raise ValueError(f"unknown quantity {self.quantity!r}")
 

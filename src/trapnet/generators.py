@@ -48,6 +48,11 @@ __all__ = [
 
 # relative tolerance when matching a wavevector to the period lattice
 COMMENSURATE_RTOL = 1e-9
+# deepest nesting of parentheses and cos/sin arguments an expression may
+# have; the parser and the compilers recurse once per level of nesting (flat
+# operator chains are walked in loops), so the cap keeps them inside Python's
+# default recursion limit
+MAX_NESTING = 100
 
 
 class GeneratorError(ValueError):
@@ -148,6 +153,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -213,17 +219,26 @@ class _Parser:
         if tok.kind == "num":
             return _Num(float(tok.text), tok.pos)
         if tok.kind == "(":
-            node = self.expr()
+            node = self.nested(tok)
             self.expect(")")
             return node
         if tok.kind == "name":
             if tok.text in ("cos", "sin"):
                 self.expect("(")
-                arg = self.expr()
+                arg = self.nested(tok)
                 self.expect(")")
                 return _Trig(tok.text, arg, tok.pos)
             return _Name(tok.text, tok.pos)
         raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
+
+    def nested(self, opener: _Token):
+        """Parse the expression inside parentheses, one nesting level down."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError("nesting too deep", opener.pos)
+        self.depth += 1
+        node = self.expr()
+        self.depth -= 1
+        return node
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +253,20 @@ def _resolve_constant(node: _Name, params: dict) -> float:
     raise ParseError(f"unbound parameter {node.ident!r}", node.pos)
 
 
+def _left_spine(node: _Bin) -> list[_Bin]:
+    """The operator nodes down the left edge of a chain, innermost first.
+
+    The parser builds ``a + b - c`` as ``((a + b) - c)``; the compilers fold
+    such a chain in a loop over this list rather than by recursion, so a long
+    flat sum or product stays inside Python's recursion limit.
+    """
+    spine = []
+    while isinstance(node, _Bin):
+        spine.append(node)
+        node = node.left
+    return spine[::-1]
+
+
 def _to_poly(node, params: dict) -> Poly2:
     if isinstance(node, _Num):
         return Poly2.const(node.value)
@@ -250,13 +279,17 @@ def _to_poly(node, params: dict) -> Poly2:
     if isinstance(node, _Neg):
         return -_to_poly(node.arg, params)
     if isinstance(node, _Bin):
-        lhs = _to_poly(node.left, params)
-        rhs = _to_poly(node.right, params)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        return lhs * rhs
+        spine = _left_spine(node)
+        acc = _to_poly(spine[0].left, params)
+        for step in spine:
+            rhs = _to_poly(step.right, params)
+            if step.op == "+":
+                acc = acc + rhs
+            elif step.op == "-":
+                acc = acc - rhs
+            else:
+                acc = acc * rhs
+        return acc
     if isinstance(node, _Pow):
         return _to_poly(node.base, params) ** node.exponent
     if isinstance(node, _Trig):
@@ -299,17 +332,21 @@ def _linform(node, params: dict) -> tuple[float, float, float]:
         a, b, d = _linform(node.arg, params)
         return (-a, -b, -d)
     if isinstance(node, _Bin):
-        la, lb, ld = _linform(node.left, params)
-        ra, rb, rd = _linform(node.right, params)
-        if node.op == "+":
-            return (la + ra, lb + rb, ld + rd)
-        if node.op == "-":
-            return (la - ra, lb - rb, ld - rd)
-        if (la, lb) == (0.0, 0.0):
-            return (ld * ra, ld * rb, ld * rd)
-        if (ra, rb) == (0.0, 0.0):
-            return (rd * la, rd * lb, rd * ld)
-        raise ParseError("trig argument must be linear in x and y", node.pos)
+        spine = _left_spine(node)
+        la, lb, ld = _linform(spine[0].left, params)
+        for step in spine:
+            ra, rb, rd = _linform(step.right, params)
+            if step.op == "+":
+                la, lb, ld = (la + ra, lb + rb, ld + rd)
+            elif step.op == "-":
+                la, lb, ld = (la - ra, lb - rb, ld - rd)
+            elif (la, lb) == (0.0, 0.0):
+                la, lb, ld = (ld * ra, ld * rb, ld * rd)
+            elif (ra, rb) == (0.0, 0.0):
+                la, lb, ld = (rd * la, rd * lb, rd * ld)
+            else:
+                raise ParseError("trig argument must be linear in x and y", step.pos)
+        return (la, lb, ld)
     if isinstance(node, _Pow):
         if node.exponent == 0:
             return (0.0, 0.0, 1.0)
@@ -341,13 +378,17 @@ def _to_waves(node, params: dict) -> _Waves:
     if isinstance(node, _Neg):
         return [(a, b, -c) for a, b, c in _to_waves(node.arg, params)]
     if isinstance(node, _Bin):
-        lhs = _to_waves(node.left, params)
-        rhs = _to_waves(node.right, params)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs + [(a, b, -c) for a, b, c in rhs]
-        return _wave_mul(lhs, rhs)
+        spine = _left_spine(node)
+        acc = _to_waves(spine[0].left, params)
+        for step in spine:
+            rhs = _to_waves(step.right, params)
+            if step.op == "+":
+                acc = acc + rhs
+            elif step.op == "-":
+                acc = acc + [(a, b, -c) for a, b, c in rhs]
+            else:
+                acc = _wave_mul(acc, rhs)
+        return acc
     if isinstance(node, _Pow):
         base = _to_waves(node.base, params)
         out: _Waves = [(0.0, 0.0, 1.0 + 0.0j)]

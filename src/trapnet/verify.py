@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .analysis import PlanarJet
+from .analysis import PlanarJet, validate_window
 from .extension import Field
 
 __all__ = [
@@ -48,6 +48,9 @@ class VerifyConfig:
     tol_laplace: float = 1e-6
     tol_boundary_value: float = 1e-12
     tol_boundary_slope: float = 1e-7
+
+    def __post_init__(self):
+        validate_window(self.window, 3)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from trapnet import (NoTransitionError, NotALinePointError, NotANodeError, PlanarJet,
-                     Poly2, X, Y, catalog, classify_node, critical_points,
-                     multipole_order, null_lines, parse_fourier, quadratic_part,
-                     synthesize, threshold_scan, transverse_confinement)
+from trapnet import (AnalysisError, NoTransitionError, NotALinePointError,
+                     NotANodeError, PlanarJet, Poly2, X, Y, catalog, classify_node,
+                     critical_points, multipole_order, null_lines, parse_fourier,
+                     quadratic_part, synthesize, threshold_scan,
+                     transverse_confinement)
+from trapnet.analysis import validate_window
 
 PI2 = math.pi**2
 
@@ -65,6 +67,32 @@ def test_null_lines_empty_when_no_zeros():
 def test_null_lines_resolution_validation():
     with pytest.raises(ValueError):
         null_lines(X, (-1, 1, -1, 1), 1)
+
+
+def test_null_lines_constant_generator():
+    for c in (0.0, 1.0, -1.0):
+        assert null_lines(Poly2({(0, 0): c}), (-1, 1, -1, 1), 8) == []
+
+
+BAD_WINDOWS = [(math.nan, 1.0, -1.0, 1.0), (-1.0, 1.0, -1.0, math.nan),
+               (-math.inf, 1.0, -1.0, 1.0), (-1.0, 1.0, -1.0, math.inf),
+               (1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 0.5, 0.5),
+               (-1.0, 1.0, -1.0)]
+
+
+@pytest.mark.parametrize("window", BAD_WINDOWS)
+@pytest.mark.parametrize("extract", [
+    lambda gen, window: null_lines(gen, window, 16),
+    lambda gen, window: critical_points(gen, window, 4)])
+def test_bad_window_is_a_plain_value_error(window, extract):
+    # a ValueError but not an AnalysisError, so the CLI exits 2 rather than 4
+    with pytest.raises(ValueError, match="window") as err:
+        extract(catalog("cusp").compile(), window)
+    assert not isinstance(err.value, AnalysisError)
+
+
+def test_validate_window_returns_floats():
+    assert validate_window((0, 1, -2, 3.5, 0, 1), 3) == (0.0, 1.0, -2.0, 3.5, 0.0, 1.0)
 
 
 def test_null_lines_closed_loop():

@@ -1,0 +1,243 @@
+"""The array-native marching squares and one-jet Newton step against loops.
+
+``reference_null_lines`` is the per-cell marching-squares loop and
+``reference_refine_newton`` the Newton refinement with separate gradient and
+Hessian calls that ``trapnet.analysis`` used before it moved the mask and
+edge work into numpy and fetched each iteration's derivatives in one call.
+Neither change alters the arithmetic, so the results must be equal exactly,
+bit for bit, not within a tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import polys
+from trapnet import PlanarJet, Poly2, catalog
+from trapnet.analysis import _chain_segments, _refine_newton, null_lines
+
+# ----------------------------------------------------------------------
+# reference implementations (the scalar loops)
+# ----------------------------------------------------------------------
+
+_CASES = {
+    0: [], 15: [],
+    1: [(3, 0)], 14: [(3, 0)],
+    2: [(0, 1)], 13: [(0, 1)],
+    3: [(3, 1)], 12: [(3, 1)],
+    4: [(1, 2)], 11: [(1, 2)],
+    6: [(0, 2)], 9: [(0, 2)],
+    7: [(3, 2)], 8: [(3, 2)],
+}
+_SADDLE = {
+    5: {True: [(0, 1), (3, 2)], False: [(3, 0), (1, 2)]},
+    10: {True: [(3, 0), (1, 2)], False: [(0, 1), (3, 2)]},
+}
+
+
+def reference_null_lines(generator, window, resolution):
+    x0, x1, y0, y1 = (float(v) for v in window)
+    jet = PlanarJet(generator)
+    xs = np.linspace(x0, x1, resolution)
+    ys = np.linspace(y0, y1, resolution)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    # the one departure from the old loop, which raised IndexError on the
+    # scalar value of a constant generator
+    values = np.broadcast_to(np.asarray(jet.value(gx, gy), dtype=float), gx.shape)
+    edge_pos = {}
+
+    def vertex(kind, i, j):
+        key = (kind, i, j)
+        pos = edge_pos.get(key)
+        if pos is None:
+            if kind == "x":
+                va, vb = values[i, j], values[i + 1, j]
+                t = min(max(va / (va - vb), 0.0), 1.0)
+                pos = (float(xs[i] + t * (xs[i + 1] - xs[i])), float(ys[j]))
+            else:
+                va, vb = values[i, j], values[i, j + 1]
+                t = min(max(va / (va - vb), 0.0), 1.0)
+                pos = (float(xs[i]), float(ys[j] + t * (ys[j + 1] - ys[j])))
+            edge_pos[key] = pos
+        return pos
+
+    neg = values < 0.0
+    segments = []
+    for i in range(resolution - 1):
+        for j in range(resolution - 1):
+            mask = (int(neg[i, j]) | int(neg[i + 1, j]) << 1
+                    | int(neg[i + 1, j + 1]) << 2 | int(neg[i, j + 1]) << 3)
+            if mask in _SADDLE:
+                cx = 0.5 * (xs[i] + xs[i + 1])
+                cy = 0.5 * (ys[j] + ys[j + 1])
+                pairs = _SADDLE[mask][bool(jet.value(cx, cy) < 0.0)]
+            else:
+                pairs = _CASES[mask]
+            if not pairs:
+                continue
+            cell_edges = (("x", i, j), ("y", i + 1, j), ("x", i, j + 1), ("y", i, j))
+            for ea, eb in pairs:
+                pa = vertex(*cell_edges[ea])
+                pb = vertex(*cell_edges[eb])
+                if pa != pb:
+                    segments.append((pa, pb))
+    return _chain_segments(segments)
+
+
+def reference_refine_newton(jet, p, span, max_iter=120):
+    max_step = 0.25 * span
+    step_floor = 1e-13 * max(span, 1.0)
+    for _ in range(max_iter):
+        g = jet.grad(p[0], p[1])
+        if g[0] == 0.0 and g[1] == 0.0:
+            break
+        h = jet.hess(p[0], p[1])
+        scale = max(np.abs(h).max(), 1e-30)
+        if abs(np.linalg.det(h)) > 1e-12 * scale * scale:
+            step = np.linalg.solve(h, -g)
+        else:
+            hth = h.T @ h
+            damp = 1e-8 * np.trace(hth) + 1e-300
+            step = np.linalg.solve(hth + damp * np.eye(2), -h.T @ g)
+        norm = np.linalg.norm(step)
+        if norm > max_step:
+            step *= max_step / norm
+        p = p + step
+        if not np.all(np.isfinite(p)) or np.abs(p).max() > 1e6 * max(span, 1.0):
+            return None
+        if norm < step_floor:
+            break
+    if np.linalg.norm(jet.grad(p[0], p[1])) < 1e-10:
+        return p + 0.0
+    return None
+
+
+def assert_same_lines(generator, window, resolution):
+    got = null_lines(generator, window, resolution)
+    assert got == reference_null_lines(generator, window, resolution)
+    return got
+
+
+def assert_same_newton(generator, window, resolution):
+    """Refine every seed of a grid both ways and compare the results."""
+    x0, x1, y0, y1 = window
+    span = max(x1 - x0, y1 - y0)
+    jet = PlanarJet(generator)
+    converged = 0
+    for sx in np.linspace(x0, x1, resolution):
+        for sy in np.linspace(y0, y1, resolution):
+            seed = np.array((sx, sy), dtype=float)
+            got = _refine_newton(jet, seed, span)
+            want = reference_refine_newton(jet, seed, span)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.tolist() == want.tolist()
+                assert [math.copysign(1.0, v) for v in got] == \
+                    [math.copysign(1.0, v) for v in want]
+                converged += 1
+    return converged
+
+
+# ----------------------------------------------------------------------
+# random generators and windows
+# ----------------------------------------------------------------------
+
+# small integers put exact zeros on grid nodes far more often than floats do
+coeffs = st.one_of(st.integers(-3, 3).map(float),
+                   st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+bounds = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]),
+                   st.floats(-2.0, 1.0, allow_nan=False, allow_infinity=False))
+widths = st.one_of(st.sampled_from([1.0, 2.0, 3.0]),
+                   st.floats(0.05, 3.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def windows(draw):
+    x0, y0 = draw(bounds), draw(bounds)
+    return (x0, x0 + draw(widths), y0, y0 + draw(widths))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(max_degree=4, max_terms=5, coeffs=coeffs), windows(),
+       st.integers(2, 33))
+def test_null_lines_matches_cell_loop(p, window, res):
+    assert_same_lines(p, window, res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_degree=4, max_terms=5, coeffs=coeffs), windows(),
+       st.integers(2, 5))
+def test_refine_newton_matches_two_call_loop(p, window, res):
+    assert_same_newton(p, window, res)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(-0.5, 0.5, allow_nan=False), windows())
+def test_refine_newton_matches_two_call_loop_fourier(c, window):
+    assert_same_newton(catalog("round", {"c": c}).compile(), window, 3)
+
+
+# ----------------------------------------------------------------------
+# pinned cases
+# ----------------------------------------------------------------------
+
+def test_zeros_on_grid_nodes_clamp_and_merge():
+    # x + y vanishes on grid nodes of the diagonal: every crossing has t
+    # clamped to 0 or 1, and the two crossings of a cell often coincide
+    gen = Poly2({(1, 0): 1.0, (0, 1): 1.0})
+    window = (-1.0, 1.0, -1.0, 1.0)
+    nodes = np.linspace(-1.0, 1.0, 9).tolist()
+    lines = assert_same_lines(gen, window, 9)
+    vertices = [pt for pl in lines for pt in pl.points]
+    assert vertices and all(px in nodes and py in nodes for px, py in vertices)
+    assert len(set(vertices)) == len(vertices)
+    # x vanishes on a grid column: vertices sit exactly on x = 0
+    lines = assert_same_lines(Poly2({(1, 0): 1.0}), window, 5)
+    assert {px for pl in lines for px, _ in pl.points} == {0.0}
+
+
+@pytest.mark.parametrize("sign, offset, mask", [
+    (1.0, 0.1, 10), (1.0, 0.0, 10), (1.0, -0.1, 10),
+    (-1.0, 0.1, 5), (-1.0, 0.0, 5), (-1.0, -0.1, 5)])
+def test_saddle_masks_follow_center_sign(sign, offset, mask):
+    # one cell, corners alternating in sign: +-x*y is mask 10 or 5 and the
+    # offset decides the sign at the cell center
+    gen = Poly2({(1, 1): sign, (0, 0): offset})
+    window = (-1.0, 1.0, -1.0, 1.0)
+    corners = [sign * x * y + offset for x, y in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+    assert sum(1 << k for k, v in enumerate(corners) if v < 0) == mask
+    lines = assert_same_lines(gen, window, 2)
+    assert len(lines) == 2
+    # the two segments separate the corners that differ from the center
+    center_neg = offset < 0
+    for pl in lines:
+        (ax, ay), (bx, by) = pl.points
+        cut = [k for k, (x, y) in enumerate(((-1, -1), (1, -1), (1, 1), (-1, 1)))
+               if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0]
+        assert len(cut) in (1, 3)
+        lone = cut[0] if len(cut) == 1 else ({0, 1, 2, 3} - set(cut)).pop()
+        assert (corners[lone] < 0) != center_neg
+
+
+def test_saddle_grid_of_cross_generator():
+    assert_same_lines(catalog("cross").compile(), (-1.03, 0.97, -1.01, 0.99), 40)
+
+
+def test_round_at_threshold():
+    # at c = 1/4 the lattice nodes are degenerate (cusp-like) and Newton
+    # takes the least-squares branch near them
+    gen = catalog("round", {"c": 0.25}).compile()
+    window = (-1.3, 1.3, -1.3, 1.3)
+    assert assert_same_lines(gen, window, 101)
+    assert assert_same_newton(gen, window, 8) > 0
+
+
+def test_cusp_lines_and_newton():
+    gen = catalog("cusp").compile()
+    window = (-0.5, 2.5, -3.0, 3.0)
+    assert_same_lines(gen, window, 120)
+    assert assert_same_newton(gen, window, 8) > 0

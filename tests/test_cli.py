@@ -123,8 +123,9 @@ def test_sample_rejects_planar_quantity_on_3d_window(capsys):
 
 
 def test_sample_rejects_degenerate_window(capsys):
-    rc = main(["sample", "linear", "--window=1,1,0,1", "--res", "5"])
-    assert rc == 2
+    for window in ("1,1,0,1", "-1,1,-inf,1,0,1"):
+        rc = main(["sample", "linear", f"--window={window}", "--res", "5"])
+        assert rc == 2
 
 
 def test_sample_rejects_mismatched_res_counts(capsys):
@@ -177,6 +178,22 @@ def test_analyze_unknown_generator_exit_code(capsys):
     assert main(["analyze", "helix", "--point", "0,0"]) == 2
 
 
+@pytest.mark.parametrize("window", ["nan,1,-1,1", "-1,1,-1,inf", "1,-1,-1,1", "-1,1,1,1"])
+def test_nulllines_rejects_bad_window(capsys, window):
+    assert main(["nulllines", "cusp", f"--window={window}", "--res", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "window" in captured.err
+
+
+def test_deep_nesting_exit_code(tmp_path, capsys):
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps({"kind": "polynomial",
+                                "expr": "(" * 5000 + "x" + ")" * 5000}))
+    assert main(["nulllines", str(spec), "--window=-1,1,-1,1", "--res", "8"]) == 2
+    assert "nesting too deep" in capsys.readouterr().err
+
+
 def test_verify_round_passes(capsys, round_json):
     rc = main(["verify", round_json, "--samples", "100", "--seed", "1"])
     assert rc == 0
@@ -215,6 +232,14 @@ def test_sample_determinism(tmp_path):
     main(args + ["--out", str(a)])
     main(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("window", ["nan,1,-1,1,-1,1", "-1,1,-1,1,1,-1"])
+def test_verify_rejects_bad_window(capsys, window):
+    assert main(["verify", "cusp", f"--window={window}", "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "window" in captured.err
 
 
 def test_verify_determinism(tmp_path):

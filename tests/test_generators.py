@@ -7,6 +7,7 @@ from hypothesis import given
 from conftest import polys
 from trapnet import (GeneratorError, GeneratorSpec, ParseError, Poly2, catalog,
                      catalog_names, load_spec, parse_fourier, parse_polynomial)
+from trapnet.generators import MAX_NESTING
 
 ROUND_EXPR = "cos(pi*x) + cos(pi*y) + c*((cos(pi*x) - cos(pi*y))^2 - 4)"
 
@@ -74,6 +75,38 @@ def test_parse_trig_rejected_in_polynomial_mode():
 def test_parse_trailing_garbage():
     with pytest.raises(ParseError):
         parse_polynomial("x )")
+
+
+def test_parse_nesting_cap():
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(deep) == parse_polynomial("x")
+    arg = "(" * (MAX_NESTING - 1) + "pi*x" + ")" * (MAX_NESTING - 1)
+    assert parse_fourier(f"cos({arg})", (2.0, 2.0)) == parse_fourier("cos(pi*x)", (2.0, 2.0))
+
+
+def test_long_flat_chains_compile():
+    # a flat chain is as deep as it is long in the parse tree, but it is not
+    # nesting: it compiles however long it is
+    n = 3000
+    assert parse_polynomial("+".join(["x"] * n)) == Poly2({(1, 0): float(n)})
+    assert parse_polynomial("*".join(["x"] * n)) == Poly2({(n, 0): 1.0})
+    chain = "cos(pi*x" + "+0*y" * n + ")"
+    assert parse_fourier(chain, (2.0, 2.0)) == parse_fourier("cos(pi*x)", (2.0, 2.0))
+    waves = "+".join(["cos(pi*x)"] * n)
+    assert parse_fourier(waves, (2.0, 2.0)) == parse_fourier(f"{n}*cos(pi*x)", (2.0, 2.0))
+
+
+@pytest.mark.parametrize("expr, pos", [
+    ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), MAX_NESTING),
+    ("cos(" + "(" * MAX_NESTING + "pi*x" + ")" * (MAX_NESTING + 1), 4 + MAX_NESTING - 1),
+    ("(" * 5000 + "x" + ")" * 5000, MAX_NESTING),
+])
+def test_parse_nesting_past_cap_is_a_parse_error(expr, pos):
+    family = "fourier" if expr.startswith("cos") else "polynomial"
+    periods = (2.0, 2.0) if family == "fourier" else None
+    with pytest.raises(ParseError, match="nesting too deep") as err:
+        GeneratorSpec(family, expr, {}, periods).compile()
+    assert err.value.pos == pos
 
 
 # ----------------------------------------------------------------------

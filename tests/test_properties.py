@@ -50,12 +50,21 @@ def _max_coeff(s: ZSeries) -> float:
 # a - b cancels almost exactly here, so rounding must be judged against the
 # operands, not against the cancelled result
 @example(p=Y**8, q=Y**8, a=1.00001, b=-1.0)
+# b * q underflows to a subnormal coefficient here, where rounding is absolute
+@example(p=Poly2({}), q=Poly2({(0, 2): 1e-12}), a=0.0, b=2.2250738585072014e-308)
 def test_odd_extension_linearity(p, q, a, b):
     odd_p, odd_q = odd_extend(p), odd_extend(q)
     combined = odd_extend(a * p + b * q)
     recombined = a * odd_p + b * odd_q
     scale = abs(a) * _max_coeff(odd_p) + abs(b) * _max_coeff(odd_q)
-    assert _max_coeff(combined + (-1.0) * recombined) <= 1e-12 * scale
+    # A product that underflows errs by up to ulp(0)/2 absolute, while sums and
+    # integer multiples of subnormals are exact.  Each input coefficient takes
+    # two such errors (a*p, b*q), which the integer Laplacian factors amplify
+    # at most as much as they amplify the all-ones polynomial on the same
+    # terms; each output coefficient takes two more (a*odd_p, b*odd_q).
+    ones = Poly2({key: 1.0 for key in {**p.terms, **q.terms}})
+    underflow = math.ulp(0.0) * (_max_coeff(odd_extend(ones)) + 1.0)
+    assert _max_coeff(combined + (-1.0) * recombined) <= 1e-12 * scale + underflow
 
 
 @CASES
