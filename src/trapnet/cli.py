@@ -71,6 +71,13 @@ def _parse_floats(text: str, counts: tuple[int, ...], what: str) -> tuple:
     return values
 
 
+def _parse_counts(text: str, counts: tuple[int, ...], what: str) -> tuple[int, ...]:
+    values = _parse_floats(text, counts, what)
+    if not all(v.is_integer() for v in values):
+        raise GeneratorError(f"{what} needs whole numbers, got {text!r}")
+    return tuple(int(v) for v in values)
+
+
 def _parse_params(items) -> dict:
     out = {}
     for item in items or []:
@@ -116,7 +123,7 @@ def cmd_sample(args) -> int:
     spec = _load_generator_spec(args.spec).with_params(_parse_params(args.param))
     generator = spec.compile()
     window = _parse_floats(args.window, (4, 6), "--window")
-    res = tuple(int(v) for v in _parse_floats(args.res, (1, 2, 3), "--res"))
+    res = _parse_counts(args.res, (1, 2, 3), "--res")
     ndim = len(window) // 2
     counts = res * ndim if len(res) == 1 else res
     if len(counts) != ndim:
@@ -163,7 +170,7 @@ def cmd_nulllines(args) -> int:
     spec = _load_generator_spec(args.spec).with_params(_parse_params(args.param))
     generator = spec.compile()
     window = _parse_floats(args.window, (4,), "--window")
-    res = int(_parse_floats(args.res, (1,), "--res")[0])
+    (res,) = _parse_counts(args.res, (1,), "--res")
     lines = null_lines(generator, window, res)
     payload = {
         "window": list(window),

@@ -16,9 +16,13 @@ Expression grammar (both families share it)::
              | ("cos"|"sin") "(" linform ")"
     linform := expr that reduces to a*x + b*y + d with numeric a, b, d
 
-Trig calls are rejected in polynomial mode; bare x/y powers are rejected in
-Fourier mode (only constants may appear outside trig arguments).  Parameter
-names are substituted numerically before any expansion.
+Expressions are compiled while they are parsed, with no syntax tree: each
+family supplies its leaves (numbers, x, y, cos/sin) and every operator is
+applied in source order by the values' own arithmetic (``Poly2``, a list of
+plane waves, or a trig argument a*x + b*y + d that must stay linear), so the
+first error in source order is reported.  Trig calls are rejected in
+polynomial mode; bare x/y are rejected in Fourier mode (only constants may
+appear outside trig arguments).  Parameter names are substituted numerically.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ONE, Poly2, X, Y
+from .algebra import Poly2, X, Y
 
 __all__ = [
     "GeneratorError",
@@ -49,9 +53,9 @@ __all__ = [
 # relative tolerance when matching a wavevector to the period lattice
 COMMENSURATE_RTOL = 1e-9
 # deepest nesting of parentheses and cos/sin arguments an expression may
-# have; the parser and the compilers recurse once per level of nesting (flat
-# operator chains are walked in loops), so the cap keeps them inside Python's
-# default recursion limit
+# have; only the parser recurses, once per level of nesting (flat operator
+# chains are folded in loops), so the cap keeps it inside Python's default
+# recursion limit
 MAX_NESTING = 100
 
 
@@ -109,51 +113,16 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class _Num:
-    value: float
-    pos: int
-
-
-@dataclass(frozen=True)
-class _Name:
-    ident: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class _Neg:
-    arg: object
-    pos: int
-
-
-@dataclass(frozen=True)
-class _Bin:
-    op: str  # "+", "-", "*"
-    left: object
-    right: object
-    pos: int
-
-
-@dataclass(frozen=True)
-class _Pow:
-    base: object
-    exponent: int
-    pos: int
-
-
-@dataclass(frozen=True)
-class _Trig:
-    fn: str  # "cos" | "sin"
-    arg: object
-    pos: int
-
-
 class _Parser:
-    def __init__(self, src: str):
+    """Recursive-descent parser that compiles as it goes; ``family`` makes
+    the leaves and the values' own ``+ - * ** unary-`` apply the operators."""
+
+    def __init__(self, src: str, family, params: dict):
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
+        self.family = family
+        self.params = params
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -170,131 +139,206 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        node = self.expr()
+        value = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return node
+        return value
 
     def expr(self):
         tok = self.peek()
         if tok.kind in "+-":
             # leading sign; needed so pretty-printed polynomials reparse
             self.advance()
-            node = self.term()
+            value = self.term()
             if tok.kind == "-":
-                node = _Neg(node, tok.pos)
+                value = -value
         else:
-            node = self.term()
+            value = self.term()
         while self.peek().kind in "+-":
             op = self.advance()
             rhs = self.term()
-            node = _Bin(op.kind, node, rhs, op.pos)
-        return node
+            value = value + rhs if op.kind == "+" else value - rhs
+        return value
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
         while self.peek().kind == "*":
             op = self.advance()
-            rhs = self.factor()
-            node = _Bin("*", node, rhs, op.pos)
-        return node
+            value = self.product(op, value, self.factor())
+        return value
 
     def factor(self):
-        node = self.base()
+        value = self.base()
         if self.peek().kind == "^":
             caret = self.advance()
             tok = self.peek()
             if tok.kind != "num":
                 raise ParseError("exponent must be a nonnegative integer literal", tok.pos)
-            value = float(tok.text)
-            if value != int(value):
+            exponent = float(tok.text)
+            if exponent != int(exponent):
                 raise ParseError(f"exponent {tok.text!r} is not an integer", tok.pos)
             self.advance()
-            node = _Pow(node, int(value), caret.pos)
-        return node
+            value = self.product(caret, value, int(exponent))
+        return value
+
+    def product(self, op: _Token, lhs, rhs):
+        """``lhs * rhs``, or ``lhs ** rhs`` after a caret."""
+        try:
+            return lhs ** rhs if op.kind == "^" else lhs * rhs
+        except _NonLinear:
+            raise ParseError("trig argument must be linear in x and y", op.pos) from None
 
     def base(self):
         tok = self.advance()
         if tok.kind == "num":
-            return _Num(float(tok.text), tok.pos)
+            return self.family.number(float(tok.text))
         if tok.kind == "(":
-            node = self.nested(tok)
+            value = self.nested(tok, self.family)
             self.expect(")")
-            return node
-        if tok.kind == "name":
-            if tok.text in ("cos", "sin"):
-                self.expect("(")
-                arg = self.nested(tok)
-                self.expect(")")
-                return _Trig(tok.text, arg, tok.pos)
-            return _Name(tok.text, tok.pos)
-        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
+            return value
+        if tok.kind != "name":
+            raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
+        if tok.text in ("x", "y"):
+            return self.family.variable(tok)
+        if tok.text in ("cos", "sin"):
+            family = self.family.argument(tok)
+            self.expect("(")
+            arg = self.nested(tok, family)
+            self.expect(")")
+            return self.family.call(tok.text, arg)
+        if tok.text == "pi":
+            return self.family.number(math.pi)
+        if tok.text in self.params:
+            return self.family.number(float(self.params[tok.text]))
+        raise ParseError(f"unbound parameter {tok.text!r}", tok.pos)
 
-    def nested(self, opener: _Token):
-        """Parse the expression inside parentheses, one nesting level down."""
+    def nested(self, opener: _Token, family):
+        """Compile the expression inside parentheses, one nesting level down."""
         if self.depth >= MAX_NESTING:
             raise ParseError("nesting too deep", opener.pos)
+        outer, self.family = self.family, family
         self.depth += 1
-        node = self.expr()
+        value = self.expr()
         self.depth -= 1
-        return node
+        self.family = outer
+        return value
 
 
 # ----------------------------------------------------------------------
-# polynomial compilation
+# value families: leaves, and operators where Poly2 does not supply them
 # ----------------------------------------------------------------------
 
-def _resolve_constant(node: _Name, params: dict) -> float:
-    if node.ident == "pi":
-        return math.pi
-    if node.ident in params:
-        return float(params[node.ident])
-    raise ParseError(f"unbound parameter {node.ident!r}", node.pos)
+class _Polynomial:
+    """Leaves of a polynomial generator, compiled to Poly2."""
+
+    number = staticmethod(Poly2.const)
+
+    @staticmethod
+    def variable(tok: _Token) -> Poly2:
+        return X if tok.text == "x" else Y
+
+    @staticmethod
+    def argument(tok: _Token):
+        raise ParseError(f"{tok.text} is not allowed in a polynomial generator", tok.pos)
 
 
-def _left_spine(node: _Bin) -> list[_Bin]:
-    """The operator nodes down the left edge of a chain, innermost first.
+class _NonLinear(Exception):
+    """A product or power inside a trig argument is not linear in x and y."""
 
-    The parser builds ``a + b - c`` as ``((a + b) - c)``; the compilers fold
-    such a chain in a loop over this list rather than by recursion, so a long
-    flat sum or product stays inside Python's recursion limit.
+
+class _Linear:
+    """A trig argument a*x + b*y + d; products and powers must stay linear."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: float, b: float, d: float):
+        self.a, self.b, self.d = a, b, d
+
+    @classmethod
+    def number(cls, value: float) -> "_Linear":
+        return cls(0.0, 0.0, value)
+
+    @classmethod
+    def variable(cls, tok: _Token) -> "_Linear":
+        return cls(1.0, 0.0, 0.0) if tok.text == "x" else cls(0.0, 1.0, 0.0)
+
+    @staticmethod
+    def argument(tok: _Token):
+        raise ParseError("nested trig functions are not allowed", tok.pos)
+
+    def __neg__(self) -> "_Linear":
+        return _Linear(-self.a, -self.b, -self.d)
+
+    def __add__(self, other: "_Linear") -> "_Linear":
+        return _Linear(self.a + other.a, self.b + other.b, self.d + other.d)
+
+    def __sub__(self, other: "_Linear") -> "_Linear":
+        return _Linear(self.a - other.a, self.b - other.b, self.d - other.d)
+
+    def __mul__(self, other: "_Linear") -> "_Linear":
+        if (self.a, self.b) == (0.0, 0.0):
+            return _Linear(self.d * other.a, self.d * other.b, self.d * other.d)
+        if (other.a, other.b) == (0.0, 0.0):
+            return _Linear(other.d * self.a, other.d * self.b, other.d * self.d)
+        raise _NonLinear
+
+    def __pow__(self, n: int) -> "_Linear":
+        if n == 1:
+            return self
+        if n and (self.a, self.b) != (0.0, 0.0):
+            raise _NonLinear
+        return _Linear(0.0, 0.0, self.d ** n)
+
+
+class _Waves(list):
+    """A sum of plane waves (a, b, amp), each amp * exp(i*(a*x + b*y)).
+
+    Real input expressions always give conjugate-symmetric lists, so the
+    compiled generator is real.  Products keep every pair of waves; equal
+    wavevectors are merged only by :class:`FourierGen`.
     """
-    spine = []
-    while isinstance(node, _Bin):
-        spine.append(node)
-        node = node.left
-    return spine[::-1]
 
+    @classmethod
+    def number(cls, value: float) -> "_Waves":
+        return cls([(0.0, 0.0, complex(value))])
 
-def _to_poly(node, params: dict) -> Poly2:
-    if isinstance(node, _Num):
-        return Poly2.const(node.value)
-    if isinstance(node, _Name):
-        if node.ident == "x":
-            return X
-        if node.ident == "y":
-            return Y
-        return Poly2.const(_resolve_constant(node, params))
-    if isinstance(node, _Neg):
-        return -_to_poly(node.arg, params)
-    if isinstance(node, _Bin):
-        spine = _left_spine(node)
-        acc = _to_poly(spine[0].left, params)
-        for step in spine:
-            rhs = _to_poly(step.right, params)
-            if step.op == "+":
-                acc = acc + rhs
-            elif step.op == "-":
-                acc = acc - rhs
-            else:
-                acc = acc * rhs
-        return acc
-    if isinstance(node, _Pow):
-        return _to_poly(node.base, params) ** node.exponent
-    if isinstance(node, _Trig):
-        raise ParseError(f"{node.fn} is not allowed in a polynomial generator", node.pos)
-    raise AssertionError(f"unhandled node {node!r}")
+    @staticmethod
+    def variable(tok: _Token):
+        raise ParseError(
+            f"bare {tok.text!r} is not allowed in a periodic generator "
+            "(only constants may appear outside cos/sin)", tok.pos)
+
+    @staticmethod
+    def argument(tok: _Token) -> type:
+        return _Linear
+
+    @classmethod
+    def call(cls, fn: str, arg: _Linear) -> "_Waves":
+        a, b = arg.a, arg.b
+        phase = cmath.exp(1j * arg.d)
+        if fn == "cos":
+            return cls([(a, b, phase / 2), (-a, -b, phase.conjugate() / 2)])
+        return cls([(a, b, phase / 2j), (-a, -b, -phase.conjugate() / 2j)])
+
+    def __neg__(self) -> "_Waves":
+        return _Waves([(a, b, -c) for a, b, c in self])
+
+    def __add__(self, other: "_Waves") -> "_Waves":
+        return _Waves([*self, *other])
+
+    def __sub__(self, other: "_Waves") -> "_Waves":
+        return self + -other
+
+    def __mul__(self, other: "_Waves") -> "_Waves":
+        return _Waves([(la + ra, lb + rb, lc * rc)
+                       for la, lb, lc in self for ra, rb, rc in other])
+
+    def __pow__(self, n: int) -> "_Waves":
+        out = _Waves([(0.0, 0.0, 1.0 + 0.0j)])
+        for _ in range(n):
+            out = out * self
+        return out
 
 
 def parse_polynomial(expr: str, params: dict | None = None) -> Poly2:
@@ -304,104 +348,7 @@ def parse_polynomial(expr: str, params: dict | None = None) -> Poly2:
     expansion.  Trig calls, negative exponents and unbound names raise
     :class:`ParseError` with the offending position.
     """
-    return _to_poly(_Parser(expr).parse(), dict(params or {}))
-
-
-# ----------------------------------------------------------------------
-# Fourier compilation
-#
-# Intermediate value: a list of plane waves (a, b, amp) standing for
-# amp * exp(i*(a*x + b*y)).  Real input expressions always produce
-# conjugate-symmetric wave lists, so the compiled generator is real.
-# ----------------------------------------------------------------------
-
-_Waves = list[tuple[float, float, complex]]
-
-
-def _linform(node, params: dict) -> tuple[float, float, float]:
-    """Reduce a trig argument to coefficients (a, b, d) of a*x + b*y + d."""
-    if isinstance(node, _Num):
-        return (0.0, 0.0, node.value)
-    if isinstance(node, _Name):
-        if node.ident == "x":
-            return (1.0, 0.0, 0.0)
-        if node.ident == "y":
-            return (0.0, 1.0, 0.0)
-        return (0.0, 0.0, _resolve_constant(node, params))
-    if isinstance(node, _Neg):
-        a, b, d = _linform(node.arg, params)
-        return (-a, -b, -d)
-    if isinstance(node, _Bin):
-        spine = _left_spine(node)
-        la, lb, ld = _linform(spine[0].left, params)
-        for step in spine:
-            ra, rb, rd = _linform(step.right, params)
-            if step.op == "+":
-                la, lb, ld = (la + ra, lb + rb, ld + rd)
-            elif step.op == "-":
-                la, lb, ld = (la - ra, lb - rb, ld - rd)
-            elif (la, lb) == (0.0, 0.0):
-                la, lb, ld = (ld * ra, ld * rb, ld * rd)
-            elif (ra, rb) == (0.0, 0.0):
-                la, lb, ld = (rd * la, rd * lb, rd * ld)
-            else:
-                raise ParseError("trig argument must be linear in x and y", step.pos)
-        return (la, lb, ld)
-    if isinstance(node, _Pow):
-        if node.exponent == 0:
-            return (0.0, 0.0, 1.0)
-        a, b, d = _linform(node.base, params)
-        if node.exponent == 1:
-            return (a, b, d)
-        if (a, b) == (0.0, 0.0):
-            return (0.0, 0.0, d ** node.exponent)
-        raise ParseError("trig argument must be linear in x and y", node.pos)
-    if isinstance(node, _Trig):
-        raise ParseError("nested trig functions are not allowed", node.pos)
-    raise AssertionError(f"unhandled node {node!r}")
-
-
-def _wave_mul(lhs: _Waves, rhs: _Waves) -> _Waves:
-    return [(la + ra, lb + rb, lc * rc)
-            for la, lb, lc in lhs for ra, rb, rc in rhs]
-
-
-def _to_waves(node, params: dict) -> _Waves:
-    if isinstance(node, _Num):
-        return [(0.0, 0.0, complex(node.value))]
-    if isinstance(node, _Name):
-        if node.ident in ("x", "y"):
-            raise ParseError(
-                f"bare {node.ident!r} is not allowed in a periodic generator "
-                "(only constants may appear outside cos/sin)", node.pos)
-        return [(0.0, 0.0, complex(_resolve_constant(node, params)))]
-    if isinstance(node, _Neg):
-        return [(a, b, -c) for a, b, c in _to_waves(node.arg, params)]
-    if isinstance(node, _Bin):
-        spine = _left_spine(node)
-        acc = _to_waves(spine[0].left, params)
-        for step in spine:
-            rhs = _to_waves(step.right, params)
-            if step.op == "+":
-                acc = acc + rhs
-            elif step.op == "-":
-                acc = acc + [(a, b, -c) for a, b, c in rhs]
-            else:
-                acc = _wave_mul(acc, rhs)
-        return acc
-    if isinstance(node, _Pow):
-        base = _to_waves(node.base, params)
-        out: _Waves = [(0.0, 0.0, 1.0 + 0.0j)]
-        for _ in range(node.exponent):
-            out = _wave_mul(out, base)
-        return out
-    if isinstance(node, _Trig):
-        a, b, d = _linform(node.arg, params)
-        phase = cmath.exp(1j * d)
-        if node.fn == "cos":
-            return [(a, b, phase / 2), (-a, -b, phase.conjugate() / 2)]
-        return [(a, b, phase / 2j), (-a, -b, -phase.conjugate() / 2j)]
-    raise AssertionError(f"unhandled node {node!r}")
+    return _Parser(expr, _Polynomial, params or {}).parse()
 
 
 @dataclass(frozen=True, order=True)
@@ -538,7 +485,7 @@ def parse_fourier(expr: str, periods: tuple[float, float],
     2*pi*n/Ly) within a relative tolerance of 1e-9, otherwise the mode is
     rejected as incommensurate with the declared periods.
     """
-    waves = _to_waves(_Parser(expr).parse(), dict(params or {}))
+    waves = _Parser(expr, _Waves, params or {}).parse()
     lx, ly = float(periods[0]), float(periods[1])
     modes = []
     for a, b, amp in waves:

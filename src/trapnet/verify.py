@@ -9,7 +9,8 @@ are used throughout with a default step of 1e-4 in normalized units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,27 +30,33 @@ __all__ = [
 DEFAULT_H = 1e-4
 EPS_FLOOR = 1e-12
 DEFAULT_SEED = 0
+# verdict tolerances; the gradient one leaves headroom over the 1e-6 seen on
+# smooth regions: sample points can land arbitrarily close to a null line,
+# where the stencil truncation is large relative to the shrinking gradient
+TOL_GRADIENT = 5e-6
+TOL_LAPLACE = 1e-6
+TOL_BOUNDARY_VALUE = 1e-12
+TOL_BOUNDARY_SLOPE = 1e-7
+
+
+def _validate_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Sampling and tolerance settings for a verification run.
-
-    The gradient tolerance leaves headroom over the 1e-6 seen on smooth
-    regions: sample points can land arbitrarily close to a null line, where
-    the stencil truncation is large relative to the shrinking gradient.
-    """
+    """Sampling settings for a verification run."""
 
     samples: int = 200
     seed: int = DEFAULT_SEED
     h: float = DEFAULT_H
     window: tuple = (-0.75, 0.75, -0.75, 0.75, -0.75, 0.75)
-    tol_gradient: float = 5e-6
-    tol_laplace: float = 1e-6
-    tol_boundary_value: float = 1e-12
-    tol_boundary_slope: float = 1e-7
 
     def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        _validate_step(self.h)
         validate_window(self.window, 3)
 
 
@@ -63,7 +70,6 @@ class VerifyReport:
     max_boundary_slope_error: float
     samples: int
     passed: bool
-    config: VerifyConfig = dc_field(repr=False, default=VerifyConfig())
 
     def to_dict(self) -> dict:
         return {
@@ -113,8 +119,7 @@ def check_gradient(fld: Field, points, h: float = DEFAULT_H,
     analytic gradient magnitude at that point (plus a floor), so a single
     vanishing component does not blow up the ratio.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    _validate_step(h)
     worst = 0.0
     for p in np.asarray(points, dtype=float):
         fd = _fd_gradient(fld.value, p, h)
@@ -133,8 +138,7 @@ def check_laplace(fld: Field, points, h: float = DEFAULT_H,
     (floored).  A harmonic field shows only stencil noise, a corrupted one
     stands out by orders of magnitude.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    _validate_step(h)
     residual = 0.0
     scale = eps_floor
     for p in np.asarray(points, dtype=float):
@@ -151,6 +155,7 @@ def check_boundary(fld: Field, generator, points_xy,
     The z-slope is a central difference of field values, compared with the
     generator's own plane value P.
     """
+    _validate_step(h)
     jet = PlanarJet(generator)
     max_value = 0.0
     max_slope = 0.0
@@ -167,8 +172,8 @@ def run_checks(fld: Field, generator, config: VerifyConfig = VerifyConfig()) -> 
     grad_err = check_gradient(fld, pts, config.h)
     lap_res = check_laplace(fld, pts, config.h)
     bval, bslope = check_boundary(fld, generator, pts[:, :2], config.h)
-    passed = (grad_err < config.tol_gradient
-              and lap_res < config.tol_laplace
-              and bval < config.tol_boundary_value
-              and bslope < config.tol_boundary_slope)
-    return VerifyReport(grad_err, lap_res, bval, bslope, config.samples, passed, config)
+    passed = (grad_err < TOL_GRADIENT
+              and lap_res < TOL_LAPLACE
+              and bval < TOL_BOUNDARY_VALUE
+              and bslope < TOL_BOUNDARY_SLOPE)
+    return VerifyReport(grad_err, lap_res, bval, bslope, config.samples, passed)

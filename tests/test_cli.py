@@ -133,6 +133,20 @@ def test_sample_rejects_mismatched_res_counts(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "cusp", "--window=-1,1,-1,1", "--res", "inf"],
+    ["sample", "cusp", "--window=-1,1,-1,1", "--res", "2.9"],
+    ["sample", "cusp", "--window=-1,1,-1,1,-1,1", "--res", "3,nan,3"],
+    ["nulllines", "cusp", "--window=-1,1,-1,1", "--res", "inf"],
+    ["nulllines", "cusp", "--window=-1,1,-1,1", "--res", "2.9"],
+])
+def test_res_must_be_whole_numbers(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--res needs whole numbers" in captured.err
+
+
 def test_nulllines_cusp(tmp_path):
     out = tmp_path / "lines.json"
     rc = main(["nulllines", "cusp", "--window=-0.5,2.5,-3,3",
@@ -240,6 +254,18 @@ def test_verify_rejects_bad_window(capsys, window):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "window" in captured.err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--samples", "0"], "samples must be at least 1"),
+    (["--h", "nan"], "step h must be finite and positive"),
+    (["--h", "inf"], "step h must be finite and positive"),
+])
+def test_verify_refuses_a_run_that_checks_nothing(capsys, flags, message):
+    assert main(["verify", "cusp", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_verify_determinism(tmp_path):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import polys
-from trapnet import (GeneratorError, GeneratorSpec, ParseError, Poly2, catalog,
+from trapnet import (FourierGen, GeneratorError, GeneratorSpec, ParseError, Poly2, catalog,
                      catalog_names, load_spec, parse_fourier, parse_polynomial)
 from trapnet.generators import MAX_NESTING
 
@@ -75,6 +76,19 @@ def test_parse_trig_rejected_in_polynomial_mode():
 def test_parse_trailing_garbage():
     with pytest.raises(ParseError):
         parse_polynomial("x )")
+
+
+def test_first_error_in_source_order_is_reported():
+    # the unbound name comes before the missing operand
+    with pytest.raises(ParseError, match="unbound parameter 'q'") as err:
+        parse_polynomial("q*x +")
+    assert err.value.pos == 0
+    with pytest.raises(ParseError, match="not allowed in a polynomial") as err:
+        parse_polynomial("x + sin(y) * (")
+    assert err.value.pos == 4
+    with pytest.raises(ParseError, match="only constants") as err:
+        parse_fourier("cos(pi*x) + y )", (2.0, 2.0))
+    assert err.value.pos == 12
 
 
 def test_parse_nesting_cap():
@@ -209,6 +223,12 @@ def test_trig_argument_power_of_zero_is_constant():
     assert g.eval(0.5, 3.7) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_trig_argument_power_of_zero_still_checks_its_base():
+    with pytest.raises(ParseError, match="linear in x and y") as err:
+        parse_fourier("cos((x*y)^0)", (2.0, 2.0))
+    assert err.value.pos == 6
+
+
 def test_fourier_gen_rejects_non_hermitian_modes():
     from trapnet import FourierGen, FourierMode
     with pytest.raises(GeneratorError, match="Hermitian"):
@@ -226,6 +246,51 @@ def test_fourier_gen_rejects_bad_periods():
 @given(polys(max_degree=6, max_terms=5))
 def test_polynomial_print_parse_round_trip(p):
     assert dict(parse_polynomial(str(p)).terms) == dict(p.terms)
+
+
+# exponent literals stay at 3 or below: wave products do not merge equal
+# wavevectors, so stacked powers of trig sums grow exponentially
+FUZZ_VALUES = ["x", "y", "pi", "c", "q", "0", "1", "2", "3", "0.5", "1.5"]
+FUZZ_TOKENS = [*FUZZ_VALUES, "+", "-", "*", "^", "(", ")", "cos(", "sin("]
+FAMILIES = st.sampled_from(["polynomial", "fourier"])
+
+
+def _arithmetic(leaves, max_leaves):
+    """Well-formed token lists over ``leaves``; no power contains another."""
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: [*t[0], t[1], *t[2]]),
+        st.tuples(inner.filter(lambda t: "^" not in t), st.sampled_from("0123")).map(
+            lambda t: ["(", *t[0], ")", "^", t[1]]),
+        inner.map(lambda t: ["-", "(", *t, ")"]),
+    ), max_leaves=max_leaves)
+
+
+_VALUES = st.sampled_from(FUZZ_VALUES).map(lambda t: [t])
+# trig arguments lean on x, y and pi, so that they are often commensurate
+# and sometimes not linear; one leaf in ten is a nested trig call
+_ARGUMENT_LEAVES = st.sampled_from(["x", "y", "pi", "x", "y", "pi", "2", "0.5", "c",
+                                    "sin( pi * y )"]).map(str.split)
+_TRIG = st.tuples(st.sampled_from(["cos(", "sin("]), _arithmetic(_ARGUMENT_LEAVES, 4)).map(
+    lambda t: [t[0], *t[1], ")"])
+# most random strings stop at a syntax error, so well-formed ones are drawn
+# too, to reach the checks of each family behind the syntax
+FUZZ_INPUTS = st.one_of(
+    st.tuples(FAMILIES, st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=12)),
+    st.tuples(FAMILIES, _arithmetic(st.one_of(_VALUES, _TRIG), 6)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(FUZZ_INPUTS)
+def test_random_token_strings_compile_or_raise_generator_error(case):
+    family, tokens = case
+    periods = (2.0, 2.0) if family == "fourier" else None
+    spec = GeneratorSpec(family, " ".join(tokens), {"c": 0.25}, periods)
+    try:
+        compiled = spec.compile()
+    except GeneratorError:
+        return
+    assert isinstance(compiled, Poly2 if family == "polynomial" else FourierGen)
 
 
 # ----------------------------------------------------------------------

@@ -40,8 +40,14 @@ def test_gradient_check_zero_field():
 
 
 def test_gradient_check_validates_step():
-    with pytest.raises(ValueError):
-        check_gradient(synthesize(CUSP), sample_points(BOX2, 5, 0), h=0.0)
+    # the stencil steps of all three checks must be finite and positive
+    fld, pts = synthesize(CUSP), sample_points(BOX2, 5, 0)
+    for h in (0.0, -1e-4, float("nan"), float("inf")):
+        for call in (lambda: check_gradient(fld, pts, h=h),
+                     lambda: check_laplace(fld, pts, h=h),
+                     lambda: check_boundary(fld, CUSP, pts[:, :2], h=h)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                call()
 
 
 def test_laplace_random_degree8_polynomial():
