@@ -6,6 +6,8 @@ nodes (critical points of P lying on the zero set), measures local crossing
 angles and multipole order of the continued potential, and evaluates the
 transverse confinement along regular guide-line points.  Derivatives come
 from ``partials`` calls, which evaluate every requested order in one pass.
+Every sampling grid (marching squares, Newton seeds, ``trapnet sample``) is
+built and checked by :func:`grid_axes`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import bisect
 
-from .algebra import Partials, Poly2, SymMat2, ZSeries
+from .algebra import Partials, Poly2, SymMat2
 from .extension import Field, synthesize
 from .generators import FourierGen
 
@@ -31,6 +33,7 @@ __all__ = [
     "NodeReport",
     "PlanarJet",
     "validate_window",
+    "grid_axes",
     "null_lines",
     "critical_points",
     "quadratic_part",
@@ -47,6 +50,11 @@ NODE_GRAD_TOL = 1e-8
 LINE_GRAD_FLOOR = 1e-6
 GRAD_REFINE_TOL = 1e-10
 DEDUP_TOL = 1e-6
+NEWTON_MAX_ITER = 120
+DEGENERATE_TOL = 1e-9
+MULTIPOLE_MAX_ORDER = 4
+MULTIPOLE_TOL = 1e-9
+THRESHOLD_XTOL = 1e-6
 
 
 class AnalysisError(ValueError):
@@ -157,6 +165,20 @@ def validate_window(window, axes: int) -> tuple[float, ...]:
     return bounds
 
 
+def grid_axes(window, counts) -> list[np.ndarray]:
+    """Sample axes of a grid: ``np.linspace`` over each (lo, hi) window pair.
+
+    ``window`` holds one (lo, hi) pair per count and is checked by
+    :func:`validate_window`; each count must be a whole number >= 2.
+    Raises ValueError otherwise.
+    """
+    bounds = validate_window(window, len(counts))
+    if not all(float(c).is_integer() and c >= 2 for c in counts):
+        raise ValueError(f"grid counts must be whole numbers >= 2, got {tuple(counts)}")
+    return [np.linspace(lo, hi, int(c))
+            for lo, hi, c in zip(bounds[::2], bounds[1::2], counts)]
+
+
 # ----------------------------------------------------------------------
 # null-line extraction (marching squares)
 # ----------------------------------------------------------------------
@@ -190,12 +212,8 @@ def null_lines(generator, window, resolution: int) -> list[Polyline]:
     Python loop visits only the cells that the zero set crosses.  An empty
     list means no zeros in the window.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    x0, x1, y0, y1 = validate_window(window, 2)
+    xs, ys = grid_axes(window, (resolution, resolution))
     jet = PlanarJet(generator)
-    xs = np.linspace(x0, x1, resolution)
-    ys = np.linspace(y0, y1, resolution)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     # a constant generator evaluates to a scalar
     values = np.broadcast_to(np.asarray(jet.value(gx, gy), dtype=float), gx.shape)
@@ -288,14 +306,14 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
     points are deduplicated within 1e-6 and flagged as network nodes when
     |P| < 1e-8 there.  Near-singular Hessians (cusp-type nodes) fall back to
     a Tikhonov-damped least-squares step.  ``window`` must be finite with
-    x1 > x0 and y1 > y0.
+    x1 > x0 and y1 > y0; ``resolution`` seeds per axis, a whole number >= 2.
     """
-    x0, x1, y0, y1 = validate_window(window, 2)
+    xs, ys = grid_axes(window, (resolution, resolution))
+    # linspace puts both bounds on the axis exactly
+    x0, x1, y0, y1 = float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])
     jet = PlanarJet(generator)
     span = max(x1 - x0, y1 - y0)
-    seeds = [(sx, sy)
-             for sx in np.linspace(x0, x1, resolution)
-             for sy in np.linspace(y0, y1, resolution)]
+    seeds = [(sx, sy) for sx in xs for sy in ys]
 
     converged = []
     for seed in seeds:
@@ -322,15 +340,14 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
 _NEWTON_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _refine_newton(jet: PlanarJet, p: np.ndarray, span: float,
-                   max_iter: int = 120) -> np.ndarray | None:
+def _refine_newton(jet: PlanarJet, p: np.ndarray, span: float) -> np.ndarray | None:
     # iterate to step-size convergence, not just to the gradient tolerance:
     # at degenerate roots (singular Hessian) the gradient tolerance alone
     # admits a region wider than the deduplication radius
     max_step = 0.25 * span
     step_floor = 1e-13 * max(span, 1.0)
     bound = 1e6 * max(span, 1.0)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         gx, gy, hxx, hxy, hyy = jet.partials(_NEWTON_ORDERS, p[0], p[1])
         if gx == 0.0 and gy == 0.0:
             break
@@ -384,14 +401,13 @@ def _crossing_angle(lam_lo: float, lam_hi: float) -> float:
     return float(angle)
 
 
-def classify_node(generator, point, degenerate_tol: float = 1e-9,
-                  field: Field | None = None) -> NodeReport:
+def classify_node(generator, point, field: Field | None = None) -> NodeReport:
     """Classify a network node from the quadratic part of P.
 
     The point must satisfy |P| < 1e-8 and |grad P| < 1e-8, otherwise
     :class:`NotANodeError` is raised.  Eigenvalues of strictly opposite sign
     give a crossing (with its asymptote angle); a definite form gives an
-    isolated point; an eigenvalue within ``degenerate_tol`` (relative to the
+    isolated point; an eigenvalue within ``DEGENERATE_TOL`` (relative to the
     largest eigenvalue magnitude) of zero is reported degenerate rather than
     misclassified.
     """
@@ -404,7 +420,7 @@ def classify_node(generator, point, degenerate_tol: float = 1e-9,
     lam = q2.eigenvalues()
     scale = float(np.abs(lam).max())
     angle = None
-    if scale == 0.0 or np.abs(lam).min() <= degenerate_tol * scale:
+    if scale == 0.0 or np.abs(lam).min() <= DEGENERATE_TOL * scale:
         kind = "degenerate"
     elif lam[0] < 0.0 < lam[1]:
         kind = "crossing"
@@ -423,50 +439,34 @@ def classify_node(generator, point, degenerate_tol: float = 1e-9,
 # multipole order
 # ----------------------------------------------------------------------
 
-def multipole_order(field: Field, point3, max_order: int = 4,
-                    tol: float = 1e-9) -> int:
+_TAYLOR_ORDERS = tuple((i, j, k) for i in range(MULTIPOLE_MAX_ORDER + 1)
+                       for j in range(MULTIPOLE_MAX_ORDER + 1 - i)
+                       for k in range(MULTIPOLE_MAX_ORDER + 1 - i - j))
+
+
+def multipole_order(field: Field, point3) -> int:
     """Smallest total degree with a nonzero term in the local Taylor series.
 
     Degree 2 is a quadrupole, 3 a hexapole.  Coefficients are normalized by
-    the largest one up to ``max_order``; orders above ``max_order`` are not
-    computed and the function returns ``max_order + 1`` (meaning "or more").
+    the largest one up to ``MULTIPOLE_MAX_ORDER``; higher orders are not
+    computed and the function returns ``MULTIPOLE_MAX_ORDER + 1`` (meaning
+    "or more").
     """
     x0, y0, z0 = (float(v) for v in point3)
-    coeffs = _taylor_coefficients(field, x0, y0, z0, max_order)
-    top = max((abs(c) for c in coeffs.values()), default=0.0)
+    # (degree, |Taylor coefficient|) of each order: the derivative over i! j! k!
+    derivs = field.partials(_TAYLOR_ORDERS, x0, y0, z0)
+    coeffs = [(i + j + k, abs(d) / (math.factorial(i) * math.factorial(j) * math.factorial(k)))
+              for (i, j, k), d in zip(_TAYLOR_ORDERS, derivs)]
+    top = max(c for _, c in coeffs)
     if top == 0.0:
         if field.potential.is_zero():
             raise ValueError("potential is identically zero")
-        return max_order + 1  # nonzero field with no terms up to max_order
-    for order in range(max_order + 1):
-        level = max((abs(c) for (i, j, k), c in coeffs.items()
-                     if i + j + k == order), default=0.0)
-        if level > tol * top:
+        return MULTIPOLE_MAX_ORDER + 1  # nonzero field with no terms up to the cap
+    for order in range(MULTIPOLE_MAX_ORDER + 1):
+        if max(c for n, c in coeffs if n == order) > MULTIPOLE_TOL * top:
             return order
-    return max_order + 1
+    return MULTIPOLE_MAX_ORDER + 1
 
-
-def _taylor_coefficients(field: Field, x0, y0, z0, max_order) -> dict:
-    coeffs: dict[tuple[int, int, int], float] = {}
-    pot = field.potential
-    if isinstance(pot, ZSeries):  # recenter exactly
-        for n, layer in pot.layers.items():
-            shifted = layer.taylor_shift(x0, y0)
-            for k in range(0, min(n, max_order) + 1):
-                zfac = z0 ** (n - k) / (math.factorial(n - k) * math.factorial(k))
-                if zfac == 0.0:
-                    continue
-                for (i, j), c in shifted.terms.items():
-                    if i + j + k <= max_order:
-                        key = (i, j, k)
-                        coeffs[key] = coeffs.get(key, 0.0) + c * zfac
-    else:
-        orders = [(i, j, k) for i in range(max_order + 1)
-                  for j in range(max_order + 1 - i)
-                  for k in range(max_order + 1 - i - j)]
-        for (i, j, k), d in zip(orders, field.partials(orders, x0, y0, z0)):
-            coeffs[(i, j, k)] = d / (math.factorial(i) * math.factorial(j) * math.factorial(k))
-    return coeffs
 
 
 # ----------------------------------------------------------------------
@@ -520,13 +520,13 @@ def _form_determinant(generator, point) -> float:
     return float(lam[0] * lam[1])
 
 
-def threshold_scan(family, point, param_range, xtol: float = 1e-6) -> float:
+def threshold_scan(family, point, param_range) -> float:
     """Locate the parameter where a node changes classification.
 
     ``family`` maps a parameter value to a generator.  The classification
     (sign pattern of the node's quadratic form) must differ at the two ends
     of ``param_range``; the eigenvalue sign change is then bisected to
-    ``xtol``.
+    ``THRESHOLD_XTOL``.
     """
     lo, hi = (float(v) for v in param_range)
 
@@ -542,4 +542,4 @@ def threshold_scan(family, point, param_range, xtol: float = 1e-6) -> float:
         raise NoTransitionError(
             f"no classification change in [{lo}, {hi}]: the node stays "
             f"{'a crossing' if f_lo < 0 else 'definite'} across the range")
-    return float(bisect(pivot, lo, hi, xtol=xtol))
+    return float(bisect(pivot, lo, hi, xtol=THRESHOLD_XTOL))

@@ -19,12 +19,11 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (AnalysisError, NotALinePointError, PlanarJet, classify_node,
-                       null_lines, transverse_confinement, validate_window)
+from .analysis import (AnalysisError, PlanarJet, classify_node, grid_axes, null_lines,
+                       transverse_confinement)
 from .extension import TrapParams, synthesize
 from .generators import GeneratorError, GeneratorSpec, catalog, catalog_names, load_spec
 from .verify import VerifyConfig, run_checks
@@ -35,29 +34,6 @@ EXIT_IO = 3
 EXIT_ANALYSIS = 4
 
 QUANTITIES = ("phi", "upp", "grad_norm", "p")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axis ranges and sample counts for a grid evaluation."""
-
-    window: tuple  # (x0, x1, y0, y1) or (x0, x1, y0, y1, z0, z1)
-    counts: tuple  # one count per axis, each >= 2
-    quantity: str = "upp"
-
-    def __post_init__(self):
-        if len(self.window) not in (4, 6):
-            raise ValueError("a grid window has 4 or 6 bounds")
-        validate_window(self.window, len(self.counts))
-        if any(c < 2 for c in self.counts):
-            raise ValueError("grid counts must be at least 2")
-        if self.quantity not in QUANTITIES:
-            raise ValueError(f"unknown quantity {self.quantity!r}")
-
-    @property
-    def axes(self) -> list[np.ndarray]:
-        return [np.linspace(self.window[2 * a], self.window[2 * a + 1], self.counts[a])
-                for a in range(len(self.counts))]
 
 
 def _parse_floats(text: str, counts: tuple[int, ...], what: str) -> tuple:
@@ -128,29 +104,31 @@ def cmd_sample(args) -> int:
     counts = res * ndim if len(res) == 1 else res
     if len(counts) != ndim:
         raise GeneratorError(f"--res gives {len(counts)} counts for a {ndim}-D window")
-    grid = GridSpec(window, counts, args.quantity)
-    if grid.quantity == "p" and ndim == 3:
+    axes = grid_axes(window, counts)
+    if args.quantity == "p" and ndim == 3:
         raise GeneratorError("quantity 'p' is planar; use a 4-value window")
 
-    axes = grid.axes
     coords = np.meshgrid(*axes, indexing="ij")
     x, y = coords[0], coords[1]
     z = coords[2] if ndim == 3 else np.zeros_like(x)
-    if grid.quantity == "p":
+    if args.quantity == "p":
         data = PlanarJet(generator).value(x, y)
     else:
         fld = synthesize(generator, _trap_params(args))
-        if grid.quantity == "phi":
+        if args.quantity == "phi":
             data = fld.value(x, y, z)
-        elif grid.quantity == "upp":
+        elif args.quantity == "upp":
             data = fld.pseudopotential(x, y, z)
         else:
             data = np.sqrt(sum(c ** 2 for c in fld.gradient(x, y, z)))
-    values = np.broadcast_to(np.asarray(data, dtype=float), x.shape).ravel().tolist()
+    data = np.broadcast_to(np.asarray(data, dtype=float), x.shape)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{args.quantity} is not finite on this grid: the window is out of range")
+    values = data.ravel().tolist()
 
     if args.format == "json":
         payload = {
-            "quantity": grid.quantity,
+            "quantity": args.quantity,
             "window": list(window),
             "counts": list(counts),
             "order": "x-major" + ("" if ndim == 2 else ", z fastest"),

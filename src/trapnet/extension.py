@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Partials, Poly2, SymMat3, ZSeries
-from .generators import FourierGen
+from .generators import FourierGen, mode_sum
 
 __all__ = [
     "TrapParams",
@@ -137,11 +137,14 @@ class FourierField:
     generator.
     """
 
-    __slots__ = ("_gen", "_p00")
+    __slots__ = ("_gen", "_p00", "_waves")
 
     def __init__(self, gen: FourierGen):
         self._gen = gen
         self._p00 = gen.amplitude(0, 0).real
+        # the mean mode has no sinh kernel: p00 is added after the mode sum
+        self._waves = tuple(wave for mode, wave in zip(gen.modes, gen.waves)
+                            if (mode.m, mode.n) != (0, 0))
 
     @property
     def gen(self) -> FourierGen:
@@ -159,32 +162,14 @@ class FourierField:
 
         Each mode's plane wave is computed once and shared by every order.
         """
-        accs = [0.0] * len(orders)
-        for mode in self._gen.modes:
-            if (mode.m, mode.n) == (0, 0):
-                continue
-            kx, ky = self._gen.wavevector(mode)
-            k = math.hypot(kx, ky)
-            coeffs = []
-            for i, (nx, ny, nz) in enumerate(orders):
-                plane = (1j * kx) ** nx * (1j * ky) ** ny
-                if plane != 0:
-                    coeffs.append((i, mode.amp * plane, nz))
-            if not coeffs:
-                continue
-            # as in FourierGen.partials: the wave is freed after its last use
-            waves = [np.exp(1j * (kx * x + ky * y))] * len(coeffs)
-            for i, coeff, nz in coeffs:
-                accs[i] = accs[i] + coeff * _sinh_kernel(k, z, nz) * waves.pop()
-        out = []
-        for (nx, ny, nz), acc in zip(orders, accs):
-            acc = np.real(acc)
-            if nx == 0 and ny == 0:
-                if nz == 0:
-                    acc = acc + self._p00 * np.asarray(z, dtype=float)
-                elif nz == 1:
-                    acc = acc + self._p00
-            out.append(float(acc) if np.ndim(acc) == 0 else acc)
+        def kernel(kx, ky, order):
+            return _sinh_kernel(math.hypot(kx, ky), z, order[2])
+
+        out = mode_sum(self._waves, orders, x, y, kernel)
+        for i, (nx, ny, nz) in enumerate(orders):
+            if nx == ny == 0 and nz < 2:  # the mean mode's p00 * z and its slope
+                acc = out[i] + (self._p00 * np.asarray(z, dtype=float) if nz == 0 else self._p00)
+                out[i] = float(acc) if np.ndim(acc) == 0 else acc
         return out
 
     def eval(self, x, y, z):

@@ -42,6 +42,7 @@ __all__ = [
     "ParseError",
     "FourierMode",
     "FourierGen",
+    "mode_sum",
     "GeneratorSpec",
     "parse_polynomial",
     "parse_fourier",
@@ -175,7 +176,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "num":
                 raise ParseError("exponent must be a nonnegative integer literal", tok.pos)
-            exponent = float(tok.text)
+            exponent = self.finite(float(tok.text), tok)
             if exponent != int(exponent):
                 raise ParseError(f"exponent {tok.text!r} is not an integer", tok.pos)
             self.advance()
@@ -188,11 +189,19 @@ class _Parser:
             return lhs ** rhs if op.kind == "^" else lhs * rhs
         except _NonLinear:
             raise ParseError("trig argument must be linear in x and y", op.pos) from None
+        except OverflowError:  # a float power raises where a product gives inf
+            raise ParseError("result is out of range", op.pos) from None
+
+    @staticmethod
+    def finite(value: float, tok: _Token) -> float:
+        if not math.isfinite(value):
+            raise ParseError(f"{tok.text!r} is not a finite number", tok.pos)
+        return value
 
     def base(self):
         tok = self.advance()
         if tok.kind == "num":
-            return self.family.number(float(tok.text))
+            return self.family.number(self.finite(float(tok.text), tok))
         if tok.kind == "(":
             value = self.nested(tok, self.family)
             self.expect(")")
@@ -206,11 +215,11 @@ class _Parser:
             self.expect("(")
             arg = self.nested(tok, family)
             self.expect(")")
-            return self.family.call(tok.text, arg)
+            return self.family.call(tok, arg)
         if tok.text == "pi":
             return self.family.number(math.pi)
         if tok.text in self.params:
-            return self.family.number(float(self.params[tok.text]))
+            return self.family.number(self.finite(float(self.params[tok.text]), tok))
         raise ParseError(f"unbound parameter {tok.text!r}", tok.pos)
 
     def nested(self, opener: _Token, family):
@@ -314,10 +323,12 @@ class _Waves(list):
         return _Linear
 
     @classmethod
-    def call(cls, fn: str, arg: _Linear) -> "_Waves":
+    def call(cls, tok: _Token, arg: _Linear) -> "_Waves":
         a, b = arg.a, arg.b
+        if not all(map(math.isfinite, (a, b, arg.d))):
+            raise ParseError(f"{tok.text} argument is not finite", tok.pos)
         phase = cmath.exp(1j * arg.d)
-        if fn == "cos":
+        if tok.text == "cos":
             return cls([(a, b, phase / 2), (-a, -b, phase.conjugate() / 2)])
         return cls([(a, b, phase / 2j), (-a, -b, -phase.conjugate() / 2j)])
 
@@ -345,10 +356,14 @@ def parse_polynomial(expr: str, params: dict | None = None) -> Poly2:
     """Compile a polynomial expression in x and y to a sparse polynomial.
 
     Parameter names in ``params`` are substituted numerically before
-    expansion.  Trig calls, negative exponents and unbound names raise
-    :class:`ParseError` with the offending position.
+    expansion.  Trig calls, negative exponents, unbound names and numbers
+    that are not finite raise :class:`ParseError` with the offending
+    position; a coefficient that overflows raises :class:`GeneratorError`.
     """
-    return _Parser(expr, _Polynomial, params or {}).parse()
+    poly = _Parser(expr, _Polynomial, params or {}).parse()
+    if not all(map(math.isfinite, poly.terms.values())):
+        raise GeneratorError("a polynomial coefficient overflows")
+    return poly
 
 
 @dataclass(frozen=True, order=True)
@@ -368,7 +383,7 @@ class FourierGen:
     has a purely real amplitude.
     """
 
-    __slots__ = ("_periods", "_modes")
+    __slots__ = ("_periods", "_modes", "_waves")
 
     def __init__(self, periods: tuple[float, float], modes):
         lx, ly = float(periods[0]), float(periods[1])
@@ -379,6 +394,8 @@ class FourierGen:
             key = (mode.m, mode.n)
             merged[key] = merged.get(key, 0.0 + 0.0j) + complex(mode.amp)
         merged = {k: v for k, v in merged.items() if v != 0.0}
+        if not all(map(cmath.isfinite, merged.values())):
+            raise GeneratorError("mode amplitudes must be finite")
         scale = max((abs(v) for v in merged.values()), default=0.0)
         for (m, n), amp in merged.items():
             partner = merged.get((-m, -n))
@@ -394,6 +411,8 @@ class FourierGen:
                 merged[(m, n)] = merged[(-m, -n)].conjugate()
         self._periods = (lx, ly)
         self._modes = tuple(FourierMode(m, n, merged[(m, n)]) for (m, n) in sorted(merged))
+        self._waves = tuple((2 * math.pi * mode.m / lx, 2 * math.pi * mode.n / ly, mode.amp)
+                            for mode in self._modes)
 
     @property
     def periods(self) -> tuple[float, float]:
@@ -403,9 +422,10 @@ class FourierGen:
     def modes(self) -> tuple[FourierMode, ...]:
         return self._modes
 
-    def wavevector(self, mode: FourierMode) -> tuple[float, float]:
-        return (2 * math.pi * mode.m / self._periods[0],
-                2 * math.pi * mode.n / self._periods[1])
+    @property
+    def waves(self) -> tuple[tuple[float, float, complex], ...]:
+        """Wavevector (kx, ky) = 2*pi*(m/Lx, n/Ly) and amplitude of each mode."""
+        return self._waves
 
     def amplitude(self, m: int, n: int) -> complex:
         for mode in self._modes:
@@ -439,22 +459,7 @@ class FourierGen:
 
         Each mode's plane wave is computed once and shared by every order.
         """
-        accs = [0.0] * len(orders)
-        for mode in self._modes:
-            kx, ky = self.wavevector(mode)
-            coeffs = []
-            for i, (nx, ny) in enumerate(orders):
-                factor = (1j * kx) ** nx * (1j * ky) ** ny
-                if factor != 0:
-                    coeffs.append((i, mode.amp * factor))
-            if not coeffs:
-                continue
-            # one reference per order: the last order holds the only one, so
-            # numpy reuses the wave's buffer for its product and frees it
-            waves = [np.exp(1j * (kx * x + ky * y))] * len(coeffs)
-            for i, coeff in coeffs:
-                accs[i] = accs[i] + coeff * waves.pop()
-        return [float(r) if np.ndim(r) == 0 else r for r in map(np.real, accs)]
+        return mode_sum(self._waves, orders, x, y)
 
     def eval(self, x, y):
         """Real-space value; accepts scalars or numpy arrays."""
@@ -476,6 +481,32 @@ class FourierGen:
         return f"FourierGen(periods={self._periods}, modes={self._modes!r})"
 
 
+def mode_sum(waves, orders, x, y, kernel=None) -> list:
+    """Real part of the sum of amp * (i kx)**nx * (i ky)**ny * exp(i (kx x + ky y))
+    over ``waves`` of (kx, ky, amp), one per order (nx, ny, ...).
+
+    A sum is a float at a scalar point, and 0.0 where no wave contributes.
+    ``kernel(kx, ky, order)``, when given, multiplies each term between its
+    coefficient and its wave.  Each wave is computed once for all orders.
+    """
+    accs = [0.0] * len(orders)
+    for kx, ky, amp in waves:
+        coeffs = []
+        for i, order in enumerate(orders):
+            factor = (1j * kx) ** order[0] * (1j * ky) ** order[1]
+            if factor != 0:
+                coeffs.append((i, amp * factor, order))
+        if not coeffs:
+            continue
+        # one reference per order: the last order holds the only one, so
+        # numpy reuses the wave's buffer for its product and frees it
+        wave = [np.exp(1j * (kx * x + ky * y))] * len(coeffs)
+        for i, coeff, order in coeffs:
+            accs[i] = accs[i] + (coeff * wave.pop() if kernel is None
+                                 else coeff * kernel(kx, ky, order) * wave.pop())
+    return [float(r) if np.ndim(r) == 0 else r for r in map(np.real, accs)]
+
+
 def parse_fourier(expr: str, periods: tuple[float, float],
                   params: dict | None = None) -> FourierGen:
     """Compile a periodic trig-polynomial expression to a Fourier mode set.
@@ -491,13 +522,12 @@ def parse_fourier(expr: str, periods: tuple[float, float],
     for a, b, amp in waves:
         m = a * lx / (2 * math.pi)
         n = b * ly / (2 * math.pi)
-        mi, ni = round(m), round(n)
-        if abs(m - mi) > COMMENSURATE_RTOL * max(1.0, abs(m)) or \
-           abs(n - ni) > COMMENSURATE_RTOL * max(1.0, abs(n)):
+        if not all(math.isfinite(v) and abs(v - round(v)) <= COMMENSURATE_RTOL * max(1.0, abs(v))
+                   for v in (m, n)):
             raise GeneratorError(
                 f"wavevector ({a:g}, {b:g}) is incommensurate with periods "
                 f"({lx:g}, {ly:g}): mode indices ({m:g}, {n:g}) are not integers")
-        modes.append(FourierMode(mi, ni, amp))
+        modes.append(FourierMode(round(m), round(n), amp))
     return FourierGen((lx, ly), modes)
 
 
@@ -544,12 +574,17 @@ class GeneratorSpec:
             expr = data["expr"]
         except (KeyError, TypeError) as exc:
             raise GeneratorError(f"generator spec is missing field {exc}") from None
+        if not isinstance(expr, str):
+            raise GeneratorError("generator spec 'expr' must be a string")
         params = data.get("params", {})
         if not isinstance(params, dict):
             raise GeneratorError("generator spec 'params' must be an object")
+        if not all(type(v) in (int, float) for v in params.values()):
+            raise GeneratorError("generator spec 'params' values must be numbers")
         periods = data.get("periods")
         if periods is not None:
-            if len(periods) != 2:
+            if not (isinstance(periods, (list, tuple)) and len(periods) == 2
+                    and all(type(v) in (int, float) for v in periods)):
                 raise GeneratorError("generator spec 'periods' must be [Lx, Ly]")
             periods = (float(periods[0]), float(periods[1]))
         return cls(kind, expr, dict(params), periods)

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 DEFAULT_H = 1e-4
+# floor of the normalizers in check_gradient and check_laplace
 EPS_FLOOR = 1e-12
 DEFAULT_SEED = 0
 # verdict tolerances; the gradient one leaves headroom over the 1e-6 seen on
@@ -111,8 +112,7 @@ def _fd_second(value, p, h):
     ])
 
 
-def check_gradient(fld: Field, points, h: float = DEFAULT_H,
-                   eps_floor: float = EPS_FLOOR) -> float:
+def check_gradient(fld: Field, points, h: float = DEFAULT_H) -> float:
     """Worst relative disagreement between stencil and analytic gradient.
 
     Maximized over points and axes; each axis error is normalized by the
@@ -124,13 +124,12 @@ def check_gradient(fld: Field, points, h: float = DEFAULT_H,
     for p in np.asarray(points, dtype=float):
         fd = _fd_gradient(fld.value, p, h)
         an = fld.gradient(*p)
-        err = np.abs(fd - an) / (np.linalg.norm(an) + eps_floor)
+        err = np.abs(fd - an) / (np.linalg.norm(an) + EPS_FLOOR)
         worst = max(worst, float(err.max()))
     return worst
 
 
-def check_laplace(fld: Field, points, h: float = DEFAULT_H,
-                  eps_floor: float = EPS_FLOOR) -> float:
+def check_laplace(fld: Field, points, h: float = DEFAULT_H) -> float:
     """Worst stencil Laplace residual relative to the max second derivative.
 
     The residual |sum of second differences| is maximized over points and
@@ -140,7 +139,7 @@ def check_laplace(fld: Field, points, h: float = DEFAULT_H,
     """
     _validate_step(h)
     residual = 0.0
-    scale = eps_floor
+    scale = EPS_FLOOR
     for p in np.asarray(points, dtype=float):
         second = _fd_second(fld.value, p, h)
         residual = max(residual, abs(float(second.sum())))

@@ -8,7 +8,7 @@ from trapnet import (AnalysisError, NoTransitionError, NotALinePointError,
                      critical_points, multipole_order, null_lines, parse_fourier,
                      quadratic_part, synthesize, threshold_scan,
                      transverse_confinement)
-from trapnet.analysis import validate_window
+from trapnet.analysis import grid_axes, validate_window
 
 PI2 = math.pi**2
 
@@ -88,6 +88,27 @@ def test_bad_window_is_a_plain_value_error(window, extract):
     # a ValueError but not an AnalysisError, so the CLI exits 2 rather than 4
     with pytest.raises(ValueError, match="window") as err:
         extract(catalog("cusp").compile(), window)
+    assert not isinstance(err.value, AnalysisError)
+
+
+def test_grid_axes_are_linspace():
+    axes = grid_axes((-1, 2.0, 0.5, 0.75, -3.0, 3.0), (5, 2, 7))
+    for got, want in zip(axes, (np.linspace(-1.0, 2.0, 5), np.linspace(0.5, 0.75, 2),
+                                np.linspace(-3.0, 3.0, 7))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [0, 1, -1, 2.5])
+def test_grid_axes_refuse_counts(count):
+    with pytest.raises(ValueError, match="grid counts must be whole numbers >= 2"):
+        grid_axes((0.0, 1.0, 0.0, 1.0), (4, count))
+
+
+@pytest.mark.parametrize("resolution", [0, 1, 2.5])
+@pytest.mark.parametrize("extract", [null_lines, critical_points])
+def test_bad_resolution_is_a_plain_value_error(extract, resolution):
+    with pytest.raises(ValueError, match="grid counts") as err:
+        extract(catalog("cusp").compile(), (-1.0, 1.0, -1.0, 1.0), resolution)
     assert not isinstance(err.value, AnalysisError)
 
 

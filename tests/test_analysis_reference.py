@@ -1,11 +1,18 @@
-"""The array-native marching squares and one-jet Newton step against loops.
+"""Analysis and mode-sum code against the earlier implementations it replaced.
 
 ``reference_null_lines`` is the per-cell marching-squares loop and
 ``reference_refine_newton`` the Newton refinement with separate gradient and
 Hessian calls that ``trapnet.analysis`` used before it moved the mask and
 edge work into numpy and fetched each iteration's derivatives in one call.
-Neither change alters the arithmetic, so the results must be equal exactly,
-bit for bit, not within a tolerance.
+``reference_fourier_partials`` is the per-mode loop of the plane generator
+and of its continuation before both moved into ``generators.mode_sum``.
+None of these changes alters the arithmetic, so the results must be equal
+exactly, bit for bit, not within a tolerance.
+
+``reference_multipole_order`` reads the Taylor coefficients of a polynomial
+field by recentering each series layer exactly, where ``multipole_order``
+now divides analytic derivatives by factorials.  The coefficients differ in
+the last bits, but the order, a threshold on them, must not.
 """
 
 import math
@@ -16,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polys
-from trapnet import PlanarJet, Poly2, catalog
-from trapnet.analysis import _chain_segments, _refine_newton, null_lines
+from trapnet import FourierGen, FourierMode, PlanarJet, Poly2, catalog, synthesize
+from trapnet.analysis import _chain_segments, _refine_newton, multipole_order, null_lines
+from trapnet.extension import _sinh_kernel
 
 # ----------------------------------------------------------------------
 # reference implementations (the scalar loops)
@@ -115,6 +123,71 @@ def reference_refine_newton(jet, p, span, max_iter=120):
     return None
 
 
+def reference_multipole_order(field, point3, max_order=4, tol=1e-9):
+    x0, y0, z0 = point3
+    coeffs = {}
+    for n, layer in field.potential.layers.items():
+        shifted = layer.taylor_shift(x0, y0)
+        for k in range(0, min(n, max_order) + 1):
+            zfac = z0 ** (n - k) / (math.factorial(n - k) * math.factorial(k))
+            if zfac == 0.0:
+                continue
+            for (i, j), c in shifted.terms.items():
+                if i + j + k <= max_order:
+                    coeffs[(i, j, k)] = coeffs.get((i, j, k), 0.0) + c * zfac
+    top = max((abs(c) for c in coeffs.values()), default=0.0)
+    for order in range(max_order + 1):
+        level = max((abs(c) for (i, j, k), c in coeffs.items()
+                     if i + j + k == order), default=0.0)
+        if level > tol * top:
+            return order
+    return max_order + 1
+
+
+def reference_fourier_partials(gen, orders, x, y, z=None):
+    """FourierGen.partials for (nx, ny) orders without z, else the partials
+    of its odd continuation for (nx, ny, nz) orders."""
+    accs = [0.0] * len(orders)
+    for mode in gen.modes:
+        if z is not None and (mode.m, mode.n) == (0, 0):
+            continue
+        kx = 2 * math.pi * mode.m / gen.periods[0]
+        ky = 2 * math.pi * mode.n / gen.periods[1]
+        k = math.hypot(kx, ky)
+        wave = np.exp(1j * (kx * x + ky * y))
+        for i, order in enumerate(orders):
+            factor = (1j * kx) ** order[0] * (1j * ky) ** order[1]
+            if factor != 0:
+                coeff = mode.amp * factor
+                if z is None:
+                    accs[i] = accs[i] + coeff * wave
+                else:
+                    accs[i] = accs[i] + coeff * _sinh_kernel(k, z, order[2]) * wave
+    out = []
+    p00 = gen.amplitude(0, 0).real
+    for order, acc in zip(orders, accs):
+        acc = np.real(acc)
+        if z is not None and order[:2] == (0, 0):
+            if order[2] == 0:
+                acc = acc + p00 * np.asarray(z, dtype=float)
+            elif order[2] == 1:
+                acc = acc + p00
+        out.append(float(acc) if np.ndim(acc) == 0 else acc)
+    return out
+
+
+def assert_same_partials(gen, x, y, z):
+    """Plane orders up to 3 and field orders up to 3, compared bit for bit."""
+    plane = [(i, j) for i in range(4) for j in range(4 - i)]
+    space = [(i, j, k) for i in range(4) for j in range(4 - i) for k in range(4 - i - j)]
+    for got, want in ((gen.partials(plane, x, y), reference_fourier_partials(gen, plane, x, y)),
+                      (synthesize(gen).partials(space, x, y, z),
+                       reference_fourier_partials(gen, space, x, y, z))):
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
 def assert_same_lines(generator, window, resolution):
     got = null_lines(generator, window, resolution)
     assert got == reference_null_lines(generator, window, resolution)
@@ -181,9 +254,56 @@ def test_refine_newton_matches_two_call_loop_fourier(c, window):
     assert_same_newton(catalog("round", {"c": c}).compile(), window, 3)
 
 
+points = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                   st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(max_degree=6, max_terms=5, coeffs=coeffs), points, points,
+       st.one_of(st.just(0.0), points.filter(lambda z: z != 0.0)))
+def test_multipole_order_matches_recentering(p, x, y, z):
+    fld = synthesize(p)
+    if fld.potential.is_zero():
+        return
+    assert multipole_order(fld, (x, y, z)) == reference_multipole_order(fld, (x, y, z))
+
+
+@st.composite
+def hermitian_modes(draw):
+    """A random Hermitian mode set: each drawn mode with its conjugate partner."""
+    periods = (draw(widths), draw(widths))
+    modes = [FourierMode(0, 0, complex(draw(coeffs)))]
+    for _ in range(draw(st.integers(1, 4))):
+        m, n = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        amp = complex(draw(coeffs), draw(coeffs))
+        if (m, n) == (0, 0):
+            continue
+        modes += [FourierMode(m, n, amp), FourierMode(-m, -n, amp.conjugate())]
+    return FourierGen(periods, modes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_modes(), points, points,
+       st.one_of(st.just(0.0), st.floats(-1e-5, 1e-5), points))
+def test_fourier_partials_match_mode_loop(gen, x, y, z):
+    assert_same_partials(gen, x, y, z)
+    grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    assert_same_partials(gen, grid + x, grid[::-1] - y, grid * z)
+
+
 # ----------------------------------------------------------------------
 # pinned cases
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [0.0, 0.2, 0.25])
+def test_round_partials_match_mode_loop(c):
+    gen = catalog("round", {"c": c}).compile()
+    assert_same_partials(gen, 0.3, -0.7, 0.2)
+    assert_same_partials(gen, 1.0, 0.0, 0.0)
+    ax = np.linspace(-1.3, 1.3, 9)
+    gx, gy, gz = np.meshgrid(ax, ax, 0.5 * ax, indexing="ij")
+    assert_same_partials(gen, gx, gy, gz)
+
 
 def test_zeros_on_grid_nodes_clamp_and_merge():
     # x + y vanishes on grid nodes of the diagonal: every crossing has t

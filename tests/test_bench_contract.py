@@ -32,12 +32,17 @@ def test_tracer_patches_and_restores(tmp_path):
              "--out", out])) == 0
         assert tr.run_job(1, "probe", lambda: main(
             ["verify", "cusp", "--samples", "5", "--out", out])) == 0
+        assert tr.run_job(2, "probe", lambda: main(
+            ["nulllines", "cusp", "--window=-1,1,-1,1", "--res", "16", "--out", out])) == 0
+        assert tr.run_job(3, "probe", lambda: main(
+            ["analyze", "cusp", "--point=0,0", "--out", out])) == 0
     finally:
         tr.enable(False)
     assert tr.patches
     for namespace, attr, original, _ in tr.patches:
         assert vars(namespace)[attr] is original
     bucket = tr.buckets["probe"]
-    assert bucket.jobs == 2
-    assert bucket.incl["extension.eval"] > 0.0
-    assert bucket.incl["verify.run_checks"] > 0.0
+    assert bucket.jobs == 4
+    for name in ("extension.eval", "verify.run_checks", "analysis.null_lines",
+                 "analysis.multipole"):
+        assert bucket.incl[name] > 0.0, name

@@ -208,6 +208,37 @@ def test_deep_nesting_exit_code(tmp_path, capsys):
     assert "nesting too deep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("params", {"c": [1]}), ("periods", 5),
+                                          ("expr", 5)])
+def test_spec_field_of_wrong_type_exit_code(tmp_path, capsys, field, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**ROUND_SPEC, field: value}))
+    assert main(["nulllines", str(spec), "--window=-1,1,-1,1", "--res", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"generator spec '{field}'" in captured.err
+
+
+def test_overflowing_coefficient_exit_code(tmp_path, capsys):
+    # the coefficient 1e200^2 is inf: nulllines used to write NaN vertices
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "polynomial", "expr": "1e200^2*x"}))
+    assert main(["nulllines", str(spec), "--window=-1,1,-1,1", "--res", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coefficient overflows" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_sample_refuses_non_finite_values(capsys):
+    # cosh(k z) overflows near z = 300
+    assert main(["sample", "round", "--window=-1,1,-1,1,299,301", "--res", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "upp is not finite on this grid" in captured.err
+
+
 def test_verify_round_passes(capsys, round_json):
     rc = main(["verify", round_json, "--samples", "100", "--seed", "1"])
     assert rc == 0

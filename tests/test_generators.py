@@ -199,9 +199,8 @@ def test_hermitian_closure_imaginary_part_vanishes():
     rng = np.random.default_rng(7)
     for x, y in rng.uniform(-3, 3, size=(50, 2)):
         total = 0.0 + 0.0j
-        for mode in g.modes:
-            kx, ky = g.wavevector(mode)
-            total += mode.amp * np.exp(1j * (kx * x + ky * y))
+        for kx, ky, amp in g.waves:
+            total += amp * np.exp(1j * (kx * x + ky * y))
         assert abs(total.imag) < 1e-14
 
 
@@ -241,6 +240,26 @@ def test_fourier_gen_rejects_bad_periods():
     from trapnet import FourierGen
     with pytest.raises(GeneratorError, match="positive"):
         FourierGen((0.0, 2.0), [])
+
+
+@pytest.mark.parametrize("family, expr, message, pos", [
+    ("polynomial", "x^1e999", "'1e999' is not a finite number", 2),
+    ("polynomial", "1e999*x", "'1e999' is not a finite number", 0),
+    ("polynomial", "x + big*y", "'big' is not a finite number", 4),
+    ("polynomial", "1e200^2*x", "coefficient overflows", None),
+    ("polynomial", "(1e200*x + 1)^2 - 1e200^2*x^2", "coefficient overflows", None),
+    ("fourier", "cos(1e999*x)", "'1e999' is not a finite number", 4),
+    ("fourier", "cos(1e200^2*x)", "out of range", 9),
+    ("fourier", "1 + sin(1e200*1e200*x)", "sin argument is not finite", 4),
+    ("fourier", "cos(x + 1e200*1e200)", "cos argument is not finite", 0),
+    ("fourier", "1e200*1e200*cos(pi*x)", "amplitudes must be finite", None),
+    ("fourier", "cos(1e308*x)", r"mode indices \(inf, 0\) are not integers", None),
+])
+def test_numbers_out_of_range_are_refused(family, expr, message, pos):
+    periods = (2.0, 2.0) if family == "fourier" else None
+    with pytest.raises(GeneratorError, match=message) as err:
+        GeneratorSpec(family, expr, {"big": math.inf}, periods).compile()
+    assert getattr(err.value, "pos", None) == pos
 
 
 @given(polys(max_degree=6, max_terms=5))
