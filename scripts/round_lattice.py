@@ -49,7 +49,7 @@ def main():
     print(f"\nconnectivity threshold: c = {threshold:.6f}")
 
     fld = synthesize(family(threshold))
-    hess = fld.pseudopotential_hessian(*NODE, 0.0).as_array()
+    hess = fld.pseudopotential_hessian(*NODE, 0.0)
     print(f"node multipole order at threshold: {multipole_order(fld, (*NODE, 0.0))}")
     print(f"max |pseudopotential Hessian| at node: {np.abs(hess).max():.2e}")
 

@@ -10,7 +10,7 @@ lines, nodes, crossing angles, confinement), and cross-checks every field
 with an independent finite-difference oracle.
 """
 
-from .algebra import ONE, Poly2, SymMat2, SymMat3, X, Y, ZSeries
+from .algebra import ONE, Poly2, SymMat2, X, Y, ZSeries
 from .analysis import (AnalysisError, CriticalPoint, NoTransitionError, NodeReport,
                        NotALinePointError, NotANodeError, PlanarJet, Polyline,
                        classify_node, critical_points, multipole_order, null_lines,
@@ -26,7 +26,7 @@ from .verify import (VerifyConfig, VerifyReport, check_boundary, check_gradient,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Poly2", "ZSeries", "SymMat2", "SymMat3", "X", "Y", "ONE",
+    "Poly2", "ZSeries", "SymMat2", "X", "Y", "ONE",
     "GeneratorError", "ParseError", "FourierMode", "FourierGen", "GeneratorSpec",
     "parse_polynomial", "parse_fourier", "catalog", "catalog_names", "load_spec",
     "TrapParams", "Field", "FourierField", "odd_extend", "even_extend",

@@ -24,7 +24,6 @@ __all__ = [
     "ZSeries",
     "Partials",
     "SymMat2",
-    "SymMat3",
     "X",
     "Y",
     "ONE",
@@ -328,7 +327,8 @@ class Partials:
 
     An order is a tuple of per-axis derivative counts in axis order x, y
     (and z for a series).  The first request for an order differentiates
-    the base exactly and keeps the result for later calls.
+    its memoized lower order along the last axis it counts, so each order
+    takes the same path from the base: x, then y, then z.
     """
 
     __slots__ = ("_base", "_memo")
@@ -344,13 +344,24 @@ class Partials:
         for counts in orders:
             d = memo.get(counts)
             if d is None:
-                d = self._base
-                for axis, count in zip("xyz", counts):
-                    for _ in range(count):
-                        d = d.diff(axis)
-                memo[counts] = d
+                d = self._derive(counts)
             out.append(d.eval(*coords))
         return out
+
+    def _derive(self, counts):
+        memo = self._memo
+        path = []
+        while counts not in memo:
+            axis = max((a for a, n in enumerate(counts) if n > 0), default=None)
+            if axis is None:
+                memo[counts] = self._base
+                break
+            path.append((counts, "xyz"[axis]))
+            counts = counts[:axis] + (counts[axis] - 1,) + counts[axis + 1:]
+        d = memo[counts]
+        for counts, axis in reversed(path):
+            d = memo[counts] = d.diff(axis)
+        return d
 
 
 @dataclass(frozen=True)
@@ -371,36 +382,3 @@ class SymMat2:
     @property
     def trace(self) -> float:
         return self.xx + self.yy
-
-
-@dataclass(frozen=True)
-class SymMat3:
-    """Symmetric 3x3 matrix stored by its independent entries."""
-
-    xx: float
-    xy: float
-    xz: float
-    yy: float
-    yz: float
-    zz: float
-
-    @classmethod
-    def from_array(cls, a) -> "SymMat3":
-        a = np.asarray(a)
-        return cls(xx=float(a[0, 0]), xy=float(a[0, 1]), xz=float(a[0, 2]),
-                   yy=float(a[1, 1]), yz=float(a[1, 2]), zz=float(a[2, 2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([
-            [self.xx, self.xy, self.xz],
-            [self.xy, self.yy, self.yz],
-            [self.xz, self.yz, self.zz],
-        ])
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.as_array())
-
-    @property
-    def trace(self) -> float:
-        return self.xx + self.yy + self.zz

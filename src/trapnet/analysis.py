@@ -495,7 +495,7 @@ def transverse_confinement(field: Field, generator, point) -> tuple[float, float
             f"|grad P|={grad_norm:.3g}")
     normal = np.array([grad[0] / grad_norm, grad[1] / grad_norm, 0.0])
     zhat = np.array([0.0, 0.0, 1.0])
-    h = field.pseudopotential_hessian(x, y, 0.0).as_array()
+    h = field.pseudopotential_hessian(x, y, 0.0)
     basis = np.column_stack([normal, zhat])
     restricted = basis.T @ h @ basis
     lam, vecs = np.linalg.eigh(restricted)

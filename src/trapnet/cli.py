@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import (AnalysisError, PlanarJet, classify_node, grid_axes, null_lines,
                        transverse_confinement)
 from .extension import TrapParams, synthesize
-from .generators import GeneratorError, GeneratorSpec, catalog, catalog_names, load_spec
+from .generators import GeneratorError, catalog, catalog_names, load_spec
 from .verify import VerifyConfig, run_checks
 
 EXIT_OK = 0
@@ -67,12 +67,14 @@ def _parse_params(items) -> dict:
     return out
 
 
-def _load_generator_spec(ref: str) -> GeneratorSpec:
-    if os.path.exists(ref):
-        return load_spec(ref)
-    if ref in catalog_names():
-        return catalog(ref)
-    raise GeneratorError(f"{ref!r} is neither a spec file nor a built-in generator")
+def _generator(args):
+    if os.path.exists(args.spec):
+        spec = load_spec(args.spec)
+    elif args.spec in catalog_names():
+        spec = catalog(args.spec)
+    else:
+        raise GeneratorError(f"{args.spec!r} is neither a spec file nor a built-in generator")
+    return spec.with_params(_parse_params(args.param)).compile()
 
 
 def _trap_params(args) -> TrapParams:
@@ -96,8 +98,7 @@ def _json_dump(obj) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
-    spec = _load_generator_spec(args.spec).with_params(_parse_params(args.param))
-    generator = spec.compile()
+    generator = _generator(args)
     window = _parse_floats(args.window, (4, 6), "--window")
     res = _parse_counts(args.res, (1, 2, 3), "--res")
     ndim = len(window) // 2
@@ -111,16 +112,17 @@ def cmd_sample(args) -> int:
     coords = np.meshgrid(*axes, indexing="ij")
     x, y = coords[0], coords[1]
     z = coords[2] if ndim == 3 else np.zeros_like(x)
-    if args.quantity == "p":
-        data = PlanarJet(generator).value(x, y)
-    else:
-        fld = synthesize(generator, _trap_params(args))
-        if args.quantity == "phi":
-            data = fld.value(x, y, z)
-        elif args.quantity == "upp":
-            data = fld.pseudopotential(x, y, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warnings
+        if args.quantity == "p":
+            data = PlanarJet(generator).value(x, y)
         else:
-            data = np.sqrt(sum(c ** 2 for c in fld.gradient(x, y, z)))
+            fld = synthesize(generator, _trap_params(args))
+            if args.quantity == "phi":
+                data = fld.value(x, y, z)
+            elif args.quantity == "upp":
+                data = fld.pseudopotential(x, y, z)
+            else:
+                data = np.sqrt(sum(c ** 2 for c in fld.gradient(x, y, z)))
     data = np.broadcast_to(np.asarray(data, dtype=float), x.shape)
     if not np.isfinite(data).all():
         raise ValueError(f"{args.quantity} is not finite on this grid: the window is out of range")
@@ -145,8 +147,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_nulllines(args) -> int:
-    spec = _load_generator_spec(args.spec).with_params(_parse_params(args.param))
-    generator = spec.compile()
+    generator = _generator(args)
     window = _parse_floats(args.window, (4,), "--window")
     (res,) = _parse_counts(args.res, (1,), "--res")
     lines = null_lines(generator, window, res)
@@ -163,8 +164,7 @@ def cmd_nulllines(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    spec = _load_generator_spec(args.spec).with_params(_parse_params(args.param))
-    generator = spec.compile()
+    generator = _generator(args)
     x, y = _parse_floats(args.point, (2,), "--point")
     fld = synthesize(generator, _trap_params(args))
     try:
@@ -200,8 +200,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_generator_spec(args.spec).with_params(_parse_params(args.param))
-    generator = spec.compile()
+    generator = _generator(args)
     fld = synthesize(generator, _trap_params(args))
     window = _parse_floats(args.window, (6,), "--window") if args.window else \
         VerifyConfig().window
@@ -295,16 +294,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GeneratorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # GeneratorError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

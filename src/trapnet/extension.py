@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Partials, Poly2, SymMat3, ZSeries
+from .algebra import Partials, Poly2, ZSeries
 from .generators import FourierGen, mode_sum
 
 __all__ = [
@@ -189,18 +189,19 @@ def odd_extend_fourier(gen: FourierGen) -> FourierField:
 # ----------------------------------------------------------------------
 
 _GRADIENT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-# in the field order of SymMat3
-_HESSIAN = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-# index triples a <= b <= c of the symmetric third-derivative tensor
-_TRIPLES = tuple((a, b, c) for a in range(3) for b in range(a, 3) for c in range(b, 3))
-_THIRD = tuple(tuple(t.count(axis) for axis in range(3)) for t in _TRIPLES)
+# sorted indices of the symmetric tensors, and the (nx, ny, nz) order of each
+_PAIRS = tuple(itertools.combinations_with_replacement(range(3), 2))
+_TRIPLES = tuple(itertools.combinations_with_replacement(range(3), 3))
+_HESSIAN, _THIRD = (tuple(tuple(index.count(axis) for axis in range(3)) for index in indices)
+                    for indices in (_PAIRS, _TRIPLES))
 
 
-def _third_tensor(values) -> np.ndarray:
-    out = np.zeros((3, 3, 3))
-    for triple, val in zip(_TRIPLES, values):
-        for perm in itertools.permutations(triple):
-            out[perm] = val
+def _symmetric(indices, values) -> np.ndarray:
+    """Symmetric tensor holding ``values`` at every permutation of ``indices``."""
+    out = np.zeros((3,) * len(indices[0]))
+    for index, value in zip(indices, values):
+        for perm in itertools.permutations(index):
+            out[perm] = value
     return out
 
 
@@ -242,12 +243,13 @@ class Field:
         # on a grid, a derivative that vanishes identically is a scalar 0.0
         return np.array(np.broadcast_arrays(*g) if np.ndim(x) else g)
 
-    def hessian(self, x, y, z) -> SymMat3:
-        return SymMat3(*self._engine.partials(_HESSIAN, x, y, z))
+    def hessian(self, x, y, z) -> np.ndarray:
+        """Symmetric Hessian at a point, shape (3, 3)."""
+        return _symmetric(_PAIRS, self._engine.partials(_HESSIAN, x, y, z))
 
     def third(self, x, y, z) -> np.ndarray:
-        """Symmetric third-derivative tensor, shape (3, 3, 3)."""
-        return _third_tensor(self._engine.partials(_THIRD, x, y, z))
+        """Symmetric third-derivative tensor at a point, shape (3, 3, 3)."""
+        return _symmetric(_TRIPLES, self._engine.partials(_THIRD, x, y, z))
 
     # ------------------------------------------------------------------
     # ponderomotive potential
@@ -261,16 +263,16 @@ class Field:
     def pseudopotential_gradient(self, x, y, z) -> np.ndarray:
         d = self._engine.partials(_GRADIENT + _HESSIAN, x, y, z)
         g = np.array(d[:3])
-        h = SymMat3(*d[3:]).as_array()
+        h = _symmetric(_PAIRS, d[3:])
         return 2.0 * self.kappa * h @ g
 
-    def pseudopotential_hessian(self, x, y, z) -> SymMat3:
+    def pseudopotential_hessian(self, x, y, z) -> np.ndarray:
+        """Symmetric Hessian of the pseudopotential at a point, shape (3, 3)."""
         d = self._engine.partials(_GRADIENT + _HESSIAN + _THIRD, x, y, z)
         g = np.array(d[:3])
-        h = SymMat3(*d[3:9]).as_array()
-        t = _third_tensor(d[9:])
-        hess = 2.0 * self.kappa * (h @ h + np.tensordot(t, g, axes=([2], [0])))
-        return SymMat3.from_array(hess)
+        h = _symmetric(_PAIRS, d[3:9])
+        t = _symmetric(_TRIPLES, d[9:])
+        return 2.0 * self.kappa * (h @ h + np.tensordot(t, g, axes=([2], [0])))
 
 
 def synthesize(generator, params: TrapParams | None = None) -> Field:

@@ -58,6 +58,10 @@ COMMENSURATE_RTOL = 1e-9
 # chains are folded in loops), so the cap keeps it inside Python's default
 # recursion limit
 MAX_NESTING = 100
+# largest exponent, and most plane waves one product may expand to: both
+# are expanded term by term, so their cost grows with these counts
+MAX_EXPONENT = 64
+MAX_WAVES = 2**18
 
 
 class GeneratorError(ValueError):
@@ -179,6 +183,9 @@ class _Parser:
             exponent = self.finite(float(tok.text), tok)
             if exponent != int(exponent):
                 raise ParseError(f"exponent {tok.text!r} is not an integer", tok.pos)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {tok.text!r} exceeds the limit of {MAX_EXPONENT}", tok.pos)
             self.advance()
             value = self.product(caret, value, int(exponent))
         return value
@@ -187,8 +194,8 @@ class _Parser:
         """``lhs * rhs``, or ``lhs ** rhs`` after a caret."""
         try:
             return lhs ** rhs if op.kind == "^" else lhs * rhs
-        except _NonLinear:
-            raise ParseError("trig argument must be linear in x and y", op.pos) from None
+        except _Refused as exc:
+            raise ParseError(str(exc), op.pos) from None
         except OverflowError:  # a float power raises where a product gives inf
             raise ParseError("result is out of range", op.pos) from None
 
@@ -252,8 +259,11 @@ class _Polynomial:
         raise ParseError(f"{tok.text} is not allowed in a polynomial generator", tok.pos)
 
 
-class _NonLinear(Exception):
-    """A product or power inside a trig argument is not linear in x and y."""
+class _Refused(Exception):
+    """A product or power its value family will not build, and why."""
+
+
+_NONLINEAR = "trig argument must be linear in x and y"
 
 
 class _Linear:
@@ -290,13 +300,13 @@ class _Linear:
             return _Linear(self.d * other.a, self.d * other.b, self.d * other.d)
         if (other.a, other.b) == (0.0, 0.0):
             return _Linear(other.d * self.a, other.d * self.b, other.d * self.d)
-        raise _NonLinear
+        raise _Refused(_NONLINEAR)
 
     def __pow__(self, n: int) -> "_Linear":
         if n == 1:
             return self
         if n and (self.a, self.b) != (0.0, 0.0):
-            raise _NonLinear
+            raise _Refused(_NONLINEAR)
         return _Linear(0.0, 0.0, self.d ** n)
 
 
@@ -342,14 +352,22 @@ class _Waves(list):
         return self + -other
 
     def __mul__(self, other: "_Waves") -> "_Waves":
+        _check_waves(len(self) * len(other))
         return _Waves([(la + ra, lb + rb, lc * rc)
                        for la, lb, lc in self for ra, rb, rc in other])
 
     def __pow__(self, n: int) -> "_Waves":
+        _check_waves(len(self) ** n)
         out = _Waves([(0.0, 0.0, 1.0 + 0.0j)])
         for _ in range(n):
             out = out * self
         return out
+
+
+def _check_waves(count: int):
+    if count > MAX_WAVES:
+        raise _Refused(
+            f"the product expands to {count} plane waves, more than the limit of {MAX_WAVES}")
 
 
 def parse_polynomial(expr: str, params: dict | None = None) -> Poly2:

@@ -97,7 +97,7 @@ def test_criterion_4_connectivity_threshold():
 def test_criterion_5_hexapole_node():
     fld = synthesize(round_gen(0.25))
     assert multipole_order(fld, (1.0, 0.0, 0.0)) == 3
-    hess = fld.pseudopotential_hessian(1.0, 0.0, 0.0).as_array()
+    hess = fld.pseudopotential_hessian(1.0, 0.0, 0.0)
     assert np.abs(hess).max() <= 1e-9
 
 

@@ -9,6 +9,10 @@ and of its continuation before both moved into ``generators.mode_sum``.
 None of these changes alters the arithmetic, so the results must be equal
 exactly, bit for bit, not within a tolerance.
 
+``reference_partials`` is the ``algebra.Partials`` loop that differentiated
+every order from the base, where ``Partials`` now takes each order from its
+memoized lower order along the same axis path; the derivatives must be equal.
+
 ``reference_multipole_order`` reads the Taylor coefficients of a polynomial
 field by recentering each series layer exactly, where ``multipole_order``
 now divides analytic derivatives by factorials.  The coefficients differ in
@@ -23,8 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polys
-from trapnet import FourierGen, FourierMode, PlanarJet, Poly2, catalog, synthesize
-from trapnet.analysis import _chain_segments, _refine_newton, multipole_order, null_lines
+from trapnet import (FourierGen, FourierMode, PlanarJet, Poly2, catalog, odd_extend,
+                     synthesize)
+from trapnet.algebra import Partials
+from trapnet.analysis import (_TAYLOR_ORDERS, _chain_segments, _refine_newton,
+                              multipole_order, null_lines)
 from trapnet.extension import _sinh_kernel
 
 # ----------------------------------------------------------------------
@@ -121,6 +128,17 @@ def reference_refine_newton(jet, p, span, max_iter=120):
     if np.linalg.norm(jet.grad(p[0], p[1])) < 1e-10:
         return p + 0.0
     return None
+
+
+def reference_partials(base, orders, *coords):
+    out = []
+    for counts in orders:
+        d = base
+        for axis, count in zip("xyz", counts):
+            for _ in range(count):
+                d = d.diff(axis)
+        out.append((d, d.eval(*coords)))
+    return out
 
 
 def reference_multipole_order(field, point3, max_order=4, tol=1e-9):
@@ -266,6 +284,22 @@ def test_multipole_order_matches_recentering(p, x, y, z):
     if fld.potential.is_zero():
         return
     assert multipole_order(fld, (x, y, z)) == reference_multipole_order(fld, (x, y, z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_degree=8, max_terms=6, coeffs=coeffs), points, points, points,
+       st.randoms(use_true_random=False))
+def test_partials_match_derivatives_from_the_base(p, x, y, z, rng):
+    plane = sorted({(i, j) for i, j, _ in _TAYLOR_ORDERS})
+    for base, orders, coords in ((p, plane, (x, y)),
+                                 (odd_extend(p), list(_TAYLOR_ORDERS), (x, y, z))):
+        rng.shuffle(orders)  # the memo must not depend on the request order
+        engine = Partials(base)
+        values = engine.partials(orders, *coords)
+        for counts, value, (want, want_value) in zip(
+                orders, values, reference_partials(base, orders, *coords)):
+            assert engine._derive(counts) == want
+            assert value == want_value
 
 
 @st.composite

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trapnet
 from trapnet.cli import main
 
 ROUND_SPEC = {
@@ -229,14 +233,37 @@ def test_overflowing_coefficient_exit_code(tmp_path, capsys):
     assert "coefficient overflows" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_sample_refuses_non_finite_values(capsys):
     # cosh(k z) overflows near z = 300
     assert main(["sample", "round", "--window=-1,1,-1,1,299,301", "--res", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "upp is not finite on this grid" in captured.err
+
+
+def test_sample_refusal_prints_one_error_line():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trapnet.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trapnet", "sample", "round",
+         "--window=-1,1,-1,1,299,301", "--res", "4"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: upp is not finite on this grid")
+
+
+@pytest.mark.parametrize("kind, expr, message", [
+    ("polynomial", "x^65", "exponent '65' exceeds the limit of 64"),
+    ("fourier", "(cos(pi*x) + cos(pi*y))^10", "more than the limit of 262144"),
+])
+def test_exponent_and_wave_caps_exit_code(tmp_path, capsys, kind, expr, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": kind, "expr": expr, "periods": [2.0, 2.0]}))
+    assert main(["nulllines", str(spec), "--window=-1,1,-1,1", "--res", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_verify_round_passes(capsys, round_json):

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_poly
+from conftest import polys, random_poly
 from trapnet import (Field, Poly2, TrapParams, X, Y, ZSeries, catalog, cauchy_extend,
                      even_extend, odd_extend, odd_extend_fourier, parse_fourier,
                      sample_points, synthesize)
@@ -208,8 +211,8 @@ def test_gradient_cusp_vanishes_on_parametric_curve():
 def test_fourier_laplacian_trace_vanishes():
     f = synthesize(catalog("round", {"c": 0.25}).compile())
     h = f.hessian(0.3, 0.7, 0.2)
-    scale = np.abs(h.as_array()).max()
-    assert abs(h.trace) < 1e-10 * scale
+    scale = np.abs(h).max()
+    assert abs(np.trace(h)) < 1e-10 * scale
 
 
 def test_fourier_laplacian_thousand_random_points():
@@ -227,7 +230,7 @@ def test_fourier_laplacian_thousand_random_points():
 def test_series_laplacian_trace_vanishes():
     f = synthesize(CUSP)
     h = f.hessian(0.7, -0.4, 1.1)
-    assert abs(h.trace) < 1e-12 * max(1.0, np.abs(h.as_array()).max())
+    assert abs(np.trace(h)) < 1e-12 * max(1.0, np.abs(h).max())
 
 
 def test_third_tensor_symmetry():
@@ -237,12 +240,52 @@ def test_third_tensor_symmetry():
         np.testing.assert_allclose(t, np.transpose(t, perm))
 
 
+def literal_tensors(f, x, y, z):
+    """Hessian, third derivative and pseudopotential Hessian, entry by entry."""
+    def d(*axes):
+        return f.derivative(axes.count(0), axes.count(1), axes.count(2), x, y, z)
+
+    xx, xy, xz, yy, yz, zz = d(0, 0), d(0, 1), d(0, 2), d(1, 1), d(1, 2), d(2, 2)
+    h = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+    t = np.array([[[d(a, b, c) for c in range(3)] for b in range(3)] for a in range(3)])
+    g = np.array([d(0), d(1), d(2)])
+    a = 2.0 * f.kappa * (h @ h + np.tensordot(t, g, axes=([2], [0])))
+    upper = np.array([[a[0, 0], a[0, 1], a[0, 2]],
+                      [a[0, 1], a[1, 1], a[1, 2]],
+                      [a[0, 2], a[1, 2], a[2, 2]]])
+    return h, t, upper
+
+
+def assert_symmetric_tensors(f, x, y, z):
+    h, t, upper = literal_tensors(f, x, y, z)
+    got = (f.hessian(x, y, z), f.third(x, y, z), f.pseudopotential_hessian(x, y, z))
+    for tensor, want in zip(got, (h, t, upper)):
+        assert isinstance(tensor, np.ndarray) and tensor.shape == want.shape
+        assert np.array_equal(tensor, want)
+        for perm in itertools.permutations(range(tensor.ndim)):
+            assert np.array_equal(tensor, np.transpose(tensor, perm))
+
+
+@pytest.mark.parametrize("gen", [CUSP, catalog("round", {"c": 0.25}).compile(),
+                                 catalog("round", {"c": 0.1}).compile()])
+def test_symmetric_tensors_match_literal_layout(gen):
+    f = synthesize(gen, TrapParams(charge=2.0, mass=3.0, omega=0.7))
+    for x, y, z in sample_points(BOX2, 20, seed=5):
+        assert_symmetric_tensors(f, x, y, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_degree=8), st.tuples(*[st.floats(-1.5, 1.5)] * 3))
+def test_symmetric_tensors_match_literal_layout_polynomials(p, point):
+    assert_symmetric_tensors(synthesize(p), *point)
+
+
 def test_pseudopotential_linear_guide_closed_form():
     f = synthesize(X)
     rng = np.random.default_rng(4)
     for x, y, z in rng.uniform(-2, 2, size=(20, 3)):
         assert f.pseudopotential(x, y, z) == pytest.approx(x**2 + z**2, rel=1e-14)
-    lam = f.pseudopotential_hessian(0.4, 1.0, -0.2).eigenvalues()
+    lam = np.linalg.eigvalsh(f.pseudopotential_hessian(0.4, 1.0, -0.2))
     np.testing.assert_allclose(lam, [0.0, 2.0, 2.0], atol=1e-12)
 
 
@@ -258,7 +301,7 @@ def test_round_node_has_no_first_order_confinement():
     f = synthesize(catalog("round", {"c": 0.25}).compile())
     assert f.pseudopotential(1.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-20)
     np.testing.assert_allclose(f.pseudopotential_gradient(1.0, 0.0, 0.0), 0.0, atol=1e-15)
-    assert np.abs(f.pseudopotential_hessian(1.0, 0.0, 0.0).as_array()).max() < 1e-9
+    assert np.abs(f.pseudopotential_hessian(1.0, 0.0, 0.0)).max() < 1e-9
 
 
 def test_trap_params():

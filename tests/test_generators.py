@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import polys
 from trapnet import (FourierGen, GeneratorError, GeneratorSpec, ParseError, Poly2, catalog,
                      catalog_names, load_spec, parse_fourier, parse_polynomial)
-from trapnet.generators import MAX_NESTING
+from trapnet import generators
+from trapnet.generators import MAX_EXPONENT, MAX_NESTING
 
 ROUND_EXPR = "cos(pi*x) + cos(pi*y) + c*((cos(pi*x) - cos(pi*y))^2 - 4)"
 
@@ -108,6 +109,37 @@ def test_long_flat_chains_compile():
     assert parse_fourier(chain, (2.0, 2.0)) == parse_fourier("cos(pi*x)", (2.0, 2.0))
     waves = "+".join(["cos(pi*x)"] * n)
     assert parse_fourier(waves, (2.0, 2.0)) == parse_fourier(f"{n}*cos(pi*x)", (2.0, 2.0))
+
+
+def test_parse_exponent_cap():
+    assert parse_polynomial(f"x^{MAX_EXPONENT}") == Poly2({(MAX_EXPONENT, 0): 1.0})
+    for expr in (f"x^{MAX_EXPONENT + 1}", "x^1000000000000", "y*x^1e20"):
+        with pytest.raises(ParseError, match="exceeds the limit of 64") as err:
+            parse_polynomial(expr)
+        assert err.value.pos == expr.index("^") + 1
+    with pytest.raises(ParseError, match="exceeds the limit") as err:
+        parse_fourier("cos(2^65*pi*x)", (2.0, 2.0))
+    assert err.value.pos == 6
+
+
+def test_parse_wave_cap(monkeypatch):
+    # the cap counts the waves a product expands to, before equal modes merge
+    monkeypatch.setattr(generators, "MAX_WAVES", 16)
+    assert parse_fourier("cos(pi*x)^4", (2.0, 2.0)).modes
+    assert parse_fourier("(cos(pi*x) + cos(pi*y))^2", (2.0, 2.0)).modes
+    assert parse_fourier("cos(pi*x)^2 * cos(pi*y)^2", (2.0, 2.0)).modes
+    for expr, op in [("cos(pi*x)^5", "^"), ("cos(pi*x)^2 * (cos(pi*x) + cos(pi*y))^2", "*"),
+                     ("(cos(pi*x) + cos(pi*y))^3", "^")]:
+        with pytest.raises(ParseError, match="more than the limit of 16") as err:
+            parse_fourier(expr, (2.0, 2.0))
+        assert err.value.pos == expr.index(op, expr.index(")"))
+
+
+def test_parse_wave_cap_refuses_before_expanding():
+    expr = "(cos(pi*x) + cos(pi*y))^10"
+    with pytest.raises(ParseError, match="1048576 plane waves") as err:
+        parse_fourier(expr, (2.0, 2.0))
+    assert err.value.pos == expr.index("^")
 
 
 @pytest.mark.parametrize("expr, pos", [
