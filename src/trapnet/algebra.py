@@ -23,6 +23,7 @@ __all__ = [
     "Poly2",
     "ZSeries",
     "Partials",
+    "check_order",
     "SymMat2",
     "X",
     "Y",
@@ -322,13 +323,21 @@ class ZSeries:
         return f"ZSeries({{{inner}}})"
 
 
+def check_order(counts) -> None:
+    """Raise ValueError unless every derivative count of an order is an integer >= 0."""
+    for n in counts:
+        if not (isinstance(n, (int, np.integer)) and n >= 0):
+            raise ValueError(f"derivative counts must be non-negative integers, got {counts}")
+
+
 class Partials:
     """Exact partial derivatives of a Poly2 or ZSeries, each derived once.
 
     An order is a tuple of per-axis derivative counts in axis order x, y
     (and z for a series).  The first request for an order differentiates
     its memoized lower order along the last axis it counts, so each order
-    takes the same path from the base: x, then y, then z.
+    takes the same path from the base: x, then y, then z.  A new order is
+    checked by :func:`check_order` before it is derived.
     """
 
     __slots__ = ("_base", "_memo")
@@ -349,6 +358,7 @@ class Partials:
         return out
 
     def _derive(self, counts):
+        check_order(counts)
         memo = self._memo
         path = []
         while counts not in memo:
@@ -378,7 +388,3 @@ class SymMat2:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order."""
         return np.linalg.eigvalsh(self.as_array())
-
-    @property
-    def trace(self) -> float:
-        return self.xx + self.yy

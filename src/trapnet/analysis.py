@@ -281,13 +281,9 @@ def _chain_segments(segments) -> list[Polyline]:
             chain.append(nxt)
 
     polylines = []
+    # walk from the chain endpoints first, then from any vertex with segments left
     endpoints = sorted(p for p, nbrs in adjacency.items() if len(nbrs) == 1)
-    for start in endpoints:
-        if all(used[i] for _, i in adjacency[start]):
-            continue
-        chain, closed = walk(start)
-        polylines.append(Polyline(chain, closed))
-    for start in sorted(adjacency):
+    for start in [*endpoints, *sorted(adjacency)]:
         if all(used[i] for _, i in adjacency[start]):
             continue
         chain, closed = walk(start)

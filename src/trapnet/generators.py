@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Poly2, X, Y
+from .algebra import Poly2, X, Y, check_order
 
 __all__ = [
     "GeneratorError",
@@ -506,7 +506,10 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     A sum is a float at a scalar point, and 0.0 where no wave contributes.
     ``kernel(kx, ky, order)``, when given, multiplies each term between its
     coefficient and its wave.  Each wave is computed once for all orders.
+    Every order is checked by :func:`~trapnet.algebra.check_order` first.
     """
+    for order in orders:
+        check_order(order)
     accs = [0.0] * len(orders)
     for kx, ky, amp in waves:
         coeffs = []

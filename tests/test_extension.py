@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polys, random_poly
-from trapnet import (Field, Poly2, TrapParams, X, Y, ZSeries, catalog, cauchy_extend,
-                     even_extend, odd_extend, odd_extend_fourier, parse_fourier,
-                     sample_points, synthesize)
+from trapnet import (Field, PlanarJet, Poly2, TrapParams, X, Y, ZSeries, catalog,
+                     cauchy_extend, even_extend, odd_extend, odd_extend_fourier,
+                     parse_fourier, sample_points, synthesize)
 from trapnet.extension import _sinh_kernel
 
 CUSP = Y**2 - X**3
@@ -322,3 +322,17 @@ def test_field_rejects_unknown_potential():
         Field(object())
     with pytest.raises(TypeError):
         synthesize(object())
+
+
+
+@pytest.mark.parametrize("name", ["cusp", "round"])
+@pytest.mark.parametrize("bad", [-1, -2, 0.5])
+def test_bad_derivative_count_is_refused(name, bad):
+    # -1 used to return the value on cusp and to divide by zero on round
+    gen = catalog(name).compile()
+    fld, jet = synthesize(gen), PlanarJet(gen)
+    for call in (lambda: fld.derivative(bad, 0, 0, 0.3, 0.4, 0.5),
+                 lambda: fld.derivative(0, 1, bad, 0.3, 0.4, 0.5),
+                 lambda: jet.deriv(0, bad, 0.3, 0.4)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            call()

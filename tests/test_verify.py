@@ -4,7 +4,7 @@ import pytest
 from conftest import random_poly
 from trapnet import (Field, Poly2, VerifyConfig, X, Y, ZSeries, catalog, cauchy_extend,
                      check_boundary, check_gradient, check_laplace, odd_extend, run_checks,
-                     sample_points, synthesize)
+                     sample_points, synthesize, verify)
 
 CUSP = Y**2 - X**3
 BOX2 = (-2.0, 2.0, -2.0, 2.0, -2.0, 2.0)
@@ -137,3 +137,63 @@ def test_run_checks_fails_on_corrupted_field():
     report = run_checks(corrupted_cusp_field(), CUSP, VerifyConfig(samples=60))
     assert not report.passed
     assert report.max_laplace_residual > 1e-2
+
+
+# ----------------------------------------------------------------------
+# mutation gate: each planted fault must fail its own check at 200 samples
+# ----------------------------------------------------------------------
+
+class _ScaledGradient(Field):
+    """A field whose analytic gradient is off by a relative 1e-4."""
+
+    def gradient(self, x, y, z):
+        return super().gradient(x, y, z) * (1.0 + 1e-4)
+
+
+def _non_harmonic_cusp():
+    # 1e-4*x**2 in layer 1 adds 2e-4*z to the Laplacian
+    s = odd_extend(CUSP)
+    return Field(ZSeries({1: s.layer(1) + 1e-4 * X**2, 3: s.layer(3)}))
+
+
+@pytest.mark.parametrize("make_field, metric, tol", [
+    (_non_harmonic_cusp, "max_laplace_residual", verify.TOL_LAPLACE),
+    (lambda: _ScaledGradient(odd_extend(CUSP)), "max_gradient_error", verify.TOL_GRADIENT),
+    (lambda: synthesize(CUSP + 1e-5 * X), "max_boundary_slope_error", verify.TOL_BOUNDARY_SLOPE),
+], ids=["non-harmonic", "gradient-scaled", "plane-slope-off"])
+def test_run_checks_catches_planted_fault(make_field, metric, tol):
+    report = run_checks(make_field(), CUSP, VerifyConfig(samples=200))
+    assert not report.passed
+    assert report.to_dict()[metric] > 5.0 * tol
+
+
+class _Counting(Field):
+    """Counts the oracle's calls into the field."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = {"value": 0, "gradient": 0}
+
+    def value(self, x, y, z):
+        self.calls["value"] += 1
+        return super().value(x, y, z)
+
+    def gradient(self, x, y, z):
+        self.calls["gradient"] += 1
+        return super().gradient(x, y, z)
+
+
+@pytest.mark.parametrize("name", ["cusp", "round"])
+def test_run_checks_evaluates_each_stencil_point_once(name):
+    # one 7-point star per sample and one 3-point z-star on the plane below it
+    gen = catalog(name).compile()
+    fld = _Counting(synthesize(gen).potential)
+    run_checks(fld, gen, VerifyConfig(samples=25))
+    assert fld.calls == {"value": 10 * 25, "gradient": 25}
+
+
+def test_checks_of_empty_point_sets_are_zero():
+    fld = synthesize(CUSP)
+    assert check_gradient(fld, np.empty((0, 3))) == 0.0
+    assert check_laplace(fld, []) == 0.0
+    assert check_boundary(fld, CUSP, []) == (0.0, 0.0)
