@@ -348,14 +348,12 @@ class Partials:
 
     def partials(self, orders, *coords):
         """Value of each requested partial derivative at the given point."""
-        memo = self._memo
-        out = []
-        for counts in orders:
-            d = memo.get(counts)
-            if d is None:
-                d = self._derive(counts)
-            out.append(d.eval(*coords))
-        return out
+        return [self.derivative(counts).eval(*coords) for counts in orders]
+
+    def derivative(self, counts):
+        """The partial derivative of the base for one order, derived once."""
+        d = self._memo.get(counts)
+        return self._derive(counts) if d is None else d
 
     def _derive(self, counts):
         check_order(counts)

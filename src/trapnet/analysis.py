@@ -55,6 +55,9 @@ DEGENERATE_TOL = 1e-9
 MULTIPOLE_MAX_ORDER = 4
 MULTIPOLE_TOL = 1e-9
 THRESHOLD_XTOL = 1e-6
+# largest grid that grid_axes builds, counted in points: 2048^2 in the
+# plane or 161^3 in space
+MAX_GRID_POINTS = 2**22
 
 
 class AnalysisError(ValueError):
@@ -169,12 +172,15 @@ def grid_axes(window, counts) -> list[np.ndarray]:
     """Sample axes of a grid: ``np.linspace`` over each (lo, hi) window pair.
 
     ``window`` holds one (lo, hi) pair per count and is checked by
-    :func:`validate_window`; each count must be a whole number >= 2.
-    Raises ValueError otherwise.
+    :func:`validate_window`; each count must be a whole number >= 2, and
+    the grid at most ``MAX_GRID_POINTS`` points.  Raises ValueError otherwise.
     """
     bounds = validate_window(window, len(counts))
     if not all(float(c).is_integer() and c >= 2 for c in counts):
         raise ValueError(f"grid counts must be whole numbers >= 2, got {tuple(counts)}")
+    points = math.prod(int(c) for c in counts)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {points} points exceeds the limit of {MAX_GRID_POINTS}")
     return [np.linspace(lo, hi, int(c))
             for lo, hi, c in zip(bounds[::2], bounds[1::2], counts)]
 
@@ -298,26 +304,27 @@ def _chain_segments(segments) -> list[Polyline]:
 def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoint]:
     """Find zeros of grad P inside a window by grid-seeded Newton refinement.
 
-    Seeds that do not converge are dropped (logged at debug level).  Refined
-    points are deduplicated within 1e-6 and flagged as network nodes when
-    |P| < 1e-8 there.  Near-singular Hessians (cusp-type nodes) fall back to
-    a Tikhonov-damped least-squares step.  ``window`` must be finite with
-    x1 > x0 and y1 > y0; ``resolution`` seeds per axis, a whole number >= 2.
+    The seeds are refined as one batch of arrays, each taking the same steps
+    as it would alone.  Seeds that do not converge are dropped (logged at
+    debug level).  Refined points are deduplicated within 1e-6 and flagged
+    as network nodes when |P| < 1e-8 there.  Near-singular Hessians
+    (cusp-type nodes) fall back to a Tikhonov-damped least-squares step.
+    ``window`` must be finite with x1 > x0 and y1 > y0; ``resolution`` seeds
+    per axis, a whole number >= 2, at most ``MAX_GRID_POINTS`` seeds in all.
     """
     xs, ys = grid_axes(window, (resolution, resolution))
     # linspace puts both bounds on the axis exactly
     x0, x1, y0, y1 = float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])
     jet = PlanarJet(generator)
     span = max(x1 - x0, y1 - y0)
-    seeds = [(sx, sy) for sx in xs for sy in ys]
+    seeds = np.column_stack([a.ravel() for a in np.meshgrid(xs, ys, indexing="ij")])
 
     converged = []
-    for seed in seeds:
-        p = _refine_newton(jet, np.array(seed, dtype=float), span)
+    pad = 1e-9 * max(span, 1.0)
+    for seed, p in zip(seeds, _refine_newton(jet, seeds, span)):
         if p is None:
-            log.debug("seed %s did not converge", seed)
+            log.debug("seed %s did not converge", tuple(seed))
             continue
-        pad = 1e-9 * max(span, 1.0)
         if not (x0 - pad <= p[0] <= x1 + pad and y0 - pad <= p[1] <= y1 + pad):
             continue
         converged.append((float(p[0]), float(p[1])))
@@ -336,38 +343,101 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
 _NEWTON_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _refine_newton(jet: PlanarJet, p: np.ndarray, span: float) -> np.ndarray | None:
+# numpy's array power is not the power of one np.float64 coordinate, which
+# is what a point evaluation uses; this one is, element by element, and gives
+# inf on overflow where Python's pow would raise
+_scalar_pow = np.frompyfunc(lambda a, n: np.float64(a) ** n, 2, 1)
+
+
+def _batch_partials(jet: PlanarJet, orders, x, y) -> list[np.ndarray]:
+    """``jet.partials`` at the points (x, y), equal to one call per point.
+
+    Polynomials are evaluated term by term as ``Poly2.eval`` does, with
+    scalar powers.  Mode sums keep only the real part of each complex term,
+    ``c.real*w.real - c.imag*w.imag``: that is a scalar complex product's,
+    where numpy's array product may fuse the multiply and the subtraction.
+    """
+    engine = jet._engine
+    if isinstance(engine, Partials):
+        polys = [engine.derivative(counts) for counts in orders]
+        xpow, ypow = ({n: _scalar_pow(a, n).astype(float)
+                       for n in {key[axis] for p in polys for key in p.terms}}
+                      for axis, a in enumerate((x, y)))
+        values = []
+        for p in polys:
+            acc = 0.0
+            for (i, j), c in sorted(p.terms.items()):
+                acc = acc + c * xpow[i] * ypow[j]
+            values.append(acc)
+    else:
+        values = [0.0] * len(orders)
+        for kx, ky, amp in engine.waves:
+            wave = np.exp(1j * (kx * x + ky * y))
+            for k, (nx, ny) in enumerate(orders):
+                factor = (1j * kx) ** nx * (1j * ky) ** ny
+                if factor != 0:
+                    c = amp * factor
+                    values[k] = values[k] + (c.real * wave.real - c.imag * wave.imag)
+    return [np.broadcast_to(v, np.shape(x)) for v in values]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as ``np.linalg.norm`` gives it for one row."""
+    return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.ndarray | None]:
+    """Newton-refine each row of ``seeds``; the point, or None if it failed.
+
+    All seeds iterate together as arrays and leave the batch when they stop.
+    Each takes the same steps as it would alone, bit for bit: the stacked
+    ``det``/``solve`` and the row norms equal their one-matrix calls.
+    """
     # iterate to step-size convergence, not just to the gradient tolerance:
     # at degenerate roots (singular Hessian) the gradient tolerance alone
     # admits a region wider than the deduplication radius
     max_step = 0.25 * span
     step_floor = 1e-13 * max(span, 1.0)
     bound = 1e6 * max(span, 1.0)
+    p = np.array(seeds, dtype=float)
+    escaped = np.zeros(len(p), dtype=bool)
+    live = np.arange(len(p))
     for _ in range(NEWTON_MAX_ITER):
-        gx, gy, hxx, hxy, hyy = jet.partials(_NEWTON_ORDERS, p[0], p[1])
-        if gx == 0.0 and gy == 0.0:
+        if not live.size:
             break
-        g = np.array([gx, gy])
-        h = np.array([[hxx, hxy], [hxy, hyy]])
-        scale = max(abs(hxx), abs(hxy), abs(hyy), 1e-30)
-        if abs(np.linalg.det(h)) > 1e-12 * scale * scale:
-            step = np.linalg.solve(h, -g)
-        else:
-            hth = h.T @ h
-            damp = 1e-8 * np.trace(hth) + 1e-300
-            step = np.linalg.solve(hth + damp * np.eye(2), -h.T @ g)
-        norm = np.linalg.norm(step)
-        if norm > max_step:
-            step *= max_step / norm
-        p = p + step
-        x, y = p.tolist()
-        if not (math.isfinite(x) and math.isfinite(y)) or max(abs(x), abs(y)) > bound:
-            return None
-        if norm < step_floor:
-            break
-    if np.linalg.norm(jet.grad(p[0], p[1])) < GRAD_REFINE_TOL:
-        return p + 0.0  # normalize -0.0 coordinates
-    return None
+        gx, gy, hxx, hxy, hyy = _batch_partials(jet, _NEWTON_ORDERS, p[live, 0], p[live, 1])
+        moving = (gx != 0.0) | (gy != 0.0)  # a zero gradient stops a seed where it is
+        live, gx, gy, hxx, hxy, hyy = (a[moving] for a in (live, gx, gy, hxx, hxy, hyy))
+        g = np.column_stack((gx, gy))
+        h = np.stack((hxx, hxy, hxy, hyy), axis=-1).reshape(-1, 2, 2)
+        scale = np.maximum(np.maximum(np.maximum(abs(hxx), abs(hxy)), abs(hyy)), 1e-30)
+        newton = abs(np.linalg.det(h)) > 1e-12 * scale * scale
+        step = np.empty_like(g)
+        if newton.any():
+            step[newton] = np.linalg.solve(h[newton], -g[newton, :, None])[:, :, 0]
+        if not newton.all():
+            # Tikhonov-damped least squares where the Hessian is near singular
+            hd = h[~newton]
+            ht = hd.transpose(0, 2, 1)
+            hth = ht @ hd
+            damp = 1e-8 * np.trace(hth, axis1=1, axis2=2) + 1e-300
+            step[~newton] = np.linalg.solve(hth + damp[:, None, None] * np.eye(2),
+                                            -ht @ g[~newton, :, None])[:, :, 0]
+        norm = _norms(step)
+        clamp = norm > max_step
+        step[clamp] *= (max_step / norm[clamp])[:, None]
+        q = p[live] + step
+        p[live] = q
+        out = ~np.isfinite(q).all(axis=1) | (abs(q).max(axis=1) > bound)
+        escaped[live[out]] = True
+        live = live[~out & ~(norm < step_floor)]
+    ok = np.flatnonzero(~escaped)
+    converged = ok[_norms(np.column_stack(
+        _batch_partials(jet, ((1, 0), (0, 1)), p[ok, 0], p[ok, 1]))) < GRAD_REFINE_TOL]
+    refined = [None] * len(p)
+    for k in converged.tolist():
+        refined[k] = p[k] + 0.0  # normalize -0.0 coordinates
+    return refined
 
 
 def quadratic_part(generator, point) -> tuple[float, np.ndarray, SymMat2]:

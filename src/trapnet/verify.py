@@ -94,10 +94,16 @@ def _star(value, points, h, axes=(0, 1, 2)):
 
     Returns the values at p, shape (n,), and at ``p + h*e_a`` and at
     ``p - h*e_a`` for each axis ``a`` in ``axes``, shape (n, k) each.
+    Raises ValueError if a value is not finite: the field overflows there.
     """
     steps = h * _EYE3[list(axes)]
-    return tuple(np.array([value(*p) for p in q.reshape(-1, 3)], dtype=float).reshape(q.shape[:-1])
-                 for q in (points, points[:, None] + steps, points[:, None] - steps))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warnings
+        star = tuple(np.array([value(*p) for p in q.reshape(-1, 3)], dtype=float)
+                     .reshape(q.shape[:-1])
+                     for q in (points, points[:, None] + steps, points[:, None] - steps))
+    if not all(np.isfinite(v).all() for v in star):
+        raise ValueError("phi is not finite on the stencil: the window is out of range")
+    return star
 
 
 def _worst(per_point, floor=0.0) -> float:

@@ -8,6 +8,7 @@ from trapnet import (AnalysisError, NoTransitionError, NotALinePointError,
                      critical_points, multipole_order, null_lines, parse_fourier,
                      quadratic_part, synthesize, threshold_scan,
                      transverse_confinement)
+from trapnet import analysis
 from trapnet.analysis import grid_axes, validate_window
 
 PI2 = math.pi**2
@@ -104,6 +105,22 @@ def test_grid_axes_refuse_counts(count):
         grid_axes((0.0, 1.0, 0.0, 1.0), (4, count))
 
 
+def test_grid_axes_cap_total_points():
+    side = 2**11
+    assert side * side == analysis.MAX_GRID_POINTS
+    assert [len(a) for a in grid_axes((0, 1, 0, 1), (side, side))] == [side, side]
+    with pytest.raises(ValueError, match="grid of 4196352 points exceeds the limit of 4194304"):
+        grid_axes((0, 1, 0, 1), (side, side + 1))
+
+
+@pytest.mark.parametrize("extract", [null_lines, critical_points])
+def test_grid_past_the_cap_is_refused_before_allocating(extract):
+    # 10^12 points would need terabytes: the refusal comes first
+    with pytest.raises(ValueError, match="exceeds the limit") as err:
+        extract(catalog("cusp").compile(), (-1.0, 1.0, -1.0, 1.0), 10**6)
+    assert not isinstance(err.value, AnalysisError)
+
+
 @pytest.mark.parametrize("resolution", [0, 1, 2.5])
 @pytest.mark.parametrize("extract", [null_lines, critical_points])
 def test_bad_resolution_is_a_plain_value_error(extract, resolution):
@@ -178,6 +195,20 @@ def test_critical_points_round_nodes_at_edge_midpoints():
 
 def test_critical_points_linear_none():
     assert critical_points(catalog("linear").compile(), (-1, 1, -1, 1), 16) == []
+
+
+@pytest.mark.parametrize("name", ["cusp", "round"])
+def test_critical_points_refines_all_seeds_in_one_call(monkeypatch, name):
+    calls = []
+    refine = analysis._refine_newton
+
+    def counting(jet, seeds, span):
+        calls.append(len(seeds))
+        return refine(jet, seeds, span)
+
+    monkeypatch.setattr(analysis, "_refine_newton", counting)
+    assert critical_points(catalog(name).compile(), (-1.0, 2.0, -2.0, 2.0), 12)
+    assert calls == [144]
 
 
 def test_round_node_set_symmetry():

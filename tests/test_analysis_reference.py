@@ -1,9 +1,9 @@
 """Analysis and mode-sum code against the earlier implementations it replaced.
 
 ``reference_null_lines`` is the per-cell marching-squares loop and
-``reference_refine_newton`` the Newton refinement with separate gradient and
-Hessian calls that ``trapnet.analysis`` used before it moved the mask and
-edge work into numpy and fetched each iteration's derivatives in one call.
+``reference_refine_newton`` the one-seed Newton refinement with separate
+gradient and Hessian calls that ``trapnet.analysis`` used before it moved the
+mask and edge work into numpy and refined every seed of a grid as one batch.
 ``reference_fourier_partials`` is the per-mode loop of the plane generator
 and of its continuation before both moved into ``generators.mode_sum``.
 None of these changes alters the arithmetic, so the results must be equal
@@ -27,8 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polys
-from trapnet import (FourierGen, FourierMode, PlanarJet, Poly2, catalog, odd_extend,
-                     synthesize)
+from trapnet import (FourierGen, FourierMode, PlanarJet, Poly2, catalog, critical_points,
+                     odd_extend, parse_fourier, parse_polynomial, synthesize)
 from trapnet.algebra import Partials
 from trapnet.analysis import (_TAYLOR_ORDERS, _chain_segments, _refine_newton,
                               multipole_order, null_lines)
@@ -213,23 +213,24 @@ def assert_same_lines(generator, window, resolution):
 
 
 def assert_same_newton(generator, window, resolution):
-    """Refine every seed of a grid both ways and compare the results."""
+    """Refine a seed grid as one batch and each seed alone; compare per seed."""
     x0, x1, y0, y1 = window
     span = max(x1 - x0, y1 - y0)
     jet = PlanarJet(generator)
+    seeds = np.array([(sx, sy) for sx in np.linspace(x0, x1, resolution)
+                      for sy in np.linspace(y0, y1, resolution)])
+    refined = _refine_newton(jet, seeds, span)
+    assert len(refined) == len(seeds)
     converged = 0
-    for sx in np.linspace(x0, x1, resolution):
-        for sy in np.linspace(y0, y1, resolution):
-            seed = np.array((sx, sy), dtype=float)
-            got = _refine_newton(jet, seed, span)
-            want = reference_refine_newton(jet, seed, span)
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None and got.tolist() == want.tolist()
-                assert [math.copysign(1.0, v) for v in got] == \
-                    [math.copysign(1.0, v) for v in want]
-                converged += 1
+    for seed, got in zip(seeds, refined):
+        want = reference_refine_newton(jet, seed, span)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.tolist() == want.tolist()
+            assert [math.copysign(1.0, v) for v in got] == \
+                [math.copysign(1.0, v) for v in want]
+            converged += 1
     return converged
 
 
@@ -270,6 +271,12 @@ def test_refine_newton_matches_two_call_loop(p, window, res):
 @given(st.floats(-0.5, 0.5, allow_nan=False), windows())
 def test_refine_newton_matches_two_call_loop_fourier(c, window):
     assert_same_newton(catalog("round", {"c": c}).compile(), window, 3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.1, 3.0, allow_nan=False), windows())
+def test_refine_newton_matches_two_call_loop_cusp(alpha, window):
+    assert_same_newton(catalog("cusp", {"alpha": alpha}).compile(), window, 5)
 
 
 points = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
@@ -379,6 +386,34 @@ def test_saddle_masks_follow_center_sign(sign, offset, mask):
 
 def test_saddle_grid_of_cross_generator():
     assert_same_lines(catalog("cross").compile(), (-1.03, 0.97, -1.01, 0.99), 40)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_refine_newton_matches_two_call_loop_seeded_fourier_sum(seed):
+    # sine terms give complex amplitudes, whose products numpy's array
+    # multiply rounds differently from a scalar one
+    rng = np.random.default_rng(seed)
+    terms = [f"{rng.uniform(0.1, 1.0):.3f}*{rng.choice(['cos', 'sin'])}"
+             f"({rng.integers(0, 3)}*pi*x {rng.choice(['+', '-'])} {rng.integers(0, 3)}*pi*y)"
+             for _ in range(4)]
+    gen = parse_fourier(" + ".join(terms) + " - 0.765*sin(pi*x)*cos(pi*y)", (2.0, 2.0))
+    assert any(mode.amp.imag != 0.0 for mode in gen.modes)
+    assert assert_same_newton(gen, (-1.3, 1.3, -1.3, 1.3), 12) > 0
+
+
+def test_linear_takes_the_damped_branch_and_never_converges():
+    # a zero Hessian: every step is the Tikhonov one, and the gradient stays 1
+    assert assert_same_newton(catalog("linear").compile(), (-1.0, 1.0, -1.0, 1.0), 8) == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_window_finds_nothing():
+    # x^5 overflows at 1e80: a numpy scalar power gives inf where Python's
+    # pow would raise OverflowError, and no seed converges
+    gen = parse_polynomial("y^2 - x^5 + 0.5*x*y")
+    window = (-1e80, 1e80, -1e80, 1e80)
+    assert assert_same_newton(gen, window, 4) == 0
+    assert critical_points(gen, window, 4) == []
 
 
 def test_round_at_threshold():

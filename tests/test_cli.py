@@ -253,6 +253,30 @@ def test_sample_refusal_prints_one_error_line():
     assert proc.stderr.startswith("error: upp is not finite on this grid")
 
 
+def test_verify_refuses_non_finite_stencil_values():
+    # cosh(k z) overflows near z = 300: no verdict, and no numpy warnings
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trapnet.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trapnet", "verify", "round",
+         "--window=-1,1,-1,1,300,301", "--samples", "20"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: phi is not finite on the stencil: the window is out of range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "cusp", "--window=-1,1,-1,1", "--res", "2049,2048"],
+    ["sample", "cusp", "--window=-1,1,-1,1,-1,1", "--res", "100000"],
+    ["nulllines", "cusp", "--window=-1,1,-1,1", "--res", "1000000"],
+])
+def test_grid_past_the_cap_exit_code(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the limit of 4194304" in captured.err
+
+
 @pytest.mark.parametrize("kind, expr, message", [
     ("polynomial", "x^65", "exponent '65' exceeds the limit of 64"),
     ("fourier", "(cos(pi*x) + cos(pi*y))^10", "more than the limit of 262144"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,22 @@ def test_boundary_fd_oracle_uses_values_only():
     max_value, max_slope = check_boundary(stub, CUSP, pts)
     assert max_value == 0.0
     assert max_slope < 1e-6
+
+
+@pytest.mark.parametrize("check", [
+    lambda fld, gen, pts: check_gradient(fld, pts),
+    lambda fld, gen, pts: check_laplace(fld, pts),
+    lambda fld, gen, pts: run_checks(
+        fld, gen, VerifyConfig(samples=5, window=(-1, 1, -1, 1, 300, 301))),
+])
+def test_non_finite_stencil_is_refused_without_warnings(check):
+    # cosh(k z) of the round field overflows near z = 300
+    gen = catalog("round").compile()
+    pts = np.array([[0.1, 0.2, 300.5], [0.3, -0.4, 300.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phi is not finite on the stencil"):
+            check(synthesize(gen), gen, pts)
 
 
 def test_run_checks_report():
