@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .algebra import Partials, Poly2, SymMat2
 from .extension import Field, synthesize
@@ -55,6 +55,8 @@ DEGENERATE_TOL = 1e-9
 MULTIPOLE_MAX_ORDER = 4
 MULTIPOLE_TOL = 1e-9
 THRESHOLD_XTOL = 1e-6
+# relative part of the bisection stop, 4 ulp(1) as in scipy.optimize.bisect
+THRESHOLD_RTOL = 4 * sys.float_info.epsilon
 # largest grid that grid_axes builds, counted in points: 2048^2 in the
 # plane or 161^3 in space
 MAX_GRID_POINTS = 2**22
@@ -445,9 +447,9 @@ def quadratic_part(generator, point) -> tuple[float, np.ndarray, SymMat2]:
 
     Q2 is half the Hessian, so P(point + u) = value + grad.u + u.Q2.u + ...
     Polynomials are recentered exactly; periodic generators use analytic
-    mode-sum derivatives.
+    mode-sum derivatives.  A non-finite point is a ValueError.
     """
-    x, y = float(point[0]), float(point[1])
+    x, y = _plane_point(point)
     if isinstance(generator, Poly2):
         q = generator.taylor_shift(x, y)
         value = q.coeff(0, 0)
@@ -457,6 +459,14 @@ def quadratic_part(generator, point) -> tuple[float, np.ndarray, SymMat2]:
     value, gx, gy, hxx, hxy, hyy = PlanarJet(generator).partials(
         ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), x, y)
     return float(value), np.array([gx, gy]), SymMat2(xx=0.5 * hxx, xy=0.5 * hxy, yy=0.5 * hyy)
+
+
+def _plane_point(point) -> tuple[float, float]:
+    """(x, y) of a query point as floats; ValueError unless both are finite."""
+    x, y = float(point[0]), float(point[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point ({x}, {y}) is not finite")
+    return x, y
 
 
 def _crossing_angle(lam_lo: float, lam_hi: float) -> float:
@@ -479,7 +489,7 @@ def classify_node(generator, point, field: Field | None = None) -> NodeReport:
     """
     value, grad, q2 = quadratic_part(generator, point)
     grad_norm = float(np.linalg.norm(grad))
-    if abs(value) >= NODE_P_TOL or grad_norm >= NODE_GRAD_TOL:
+    if not (abs(value) < NODE_P_TOL and grad_norm < NODE_GRAD_TOL):  # nan fails too
         raise NotANodeError(
             f"point {tuple(point)} is not a node: |P|={abs(value):.3g}, "
             f"|grad P|={grad_norm:.3g}")
@@ -546,15 +556,19 @@ def transverse_confinement(field: Field, generator, point) -> tuple[float, float
     by the in-plane normal of the null line and the z axis and returns the
     two eigenvalues (normal direction first).  Both equal
     2*kappa*|grad P|**2 at leading order.  Raises
-    :class:`NotALinePointError` at nodes or off-line points.
+    :class:`NotALinePointError` at nodes or off-line points (one where P
+    overflows included), and ValueError at a non-finite point.
     """
-    x, y = float(point[0]), float(point[1])
+    x, y = _plane_point(point)
     jet = PlanarJet(generator)
-    value = float(jet.value(x, y))
+    try:
+        value = float(jet.value(x, y))
+    except OverflowError:  # a Python float power in Poly2.eval: |P| is far from 0
+        value = math.inf
+    if not abs(value) < NODE_P_TOL:  # nan fails too
+        raise NotALinePointError(f"point ({x}, {y}) is not on the null set: |P|={abs(value):.3g}")
     grad = jet.grad(x, y)
     grad_norm = float(np.linalg.norm(grad))
-    if abs(value) >= NODE_P_TOL:
-        raise NotALinePointError(f"point ({x}, {y}) is not on the null set: |P|={abs(value):.3g}")
     if grad_norm <= LINE_GRAD_FLOOR:
         raise NotALinePointError(
             f"point ({x}, {y}) is a node, not a regular line point: "
@@ -583,7 +597,7 @@ def _form_determinant(generator, point) -> float:
     """
     _, _, q2 = quadratic_part(generator, point)
     lam = q2.eigenvalues()
-    return float(lam[0] * lam[1])
+    return float(lam[0]) * float(lam[1])  # a float product is inf, not a warning, on overflow
 
 
 def threshold_scan(family, point, param_range) -> float:
@@ -591,13 +605,20 @@ def threshold_scan(family, point, param_range) -> float:
 
     ``family`` maps a parameter value to a generator.  The classification
     (sign pattern of the node's quadratic form) must differ at the two ends
-    of ``param_range``; the eigenvalue sign change is then bisected to
-    ``THRESHOLD_XTOL``.
+    of ``param_range``; the sign change is then bisected with the steps of
+    ``scipy.optimize.bisect``, bit for bit: halve the step, move the low end
+    to the midpoint if the pivot there has the sign of the pivot at ``lo``,
+    and return the midpoint once that pivot is 0 or the step is below
+    ``THRESHOLD_XTOL + THRESHOLD_RTOL * |midpoint|`` (at most about 1100
+    halvings).  A nan pivot or an infinite range is a ValueError.
     """
     lo, hi = (float(v) for v in param_range)
 
     def pivot(c):
-        return _form_determinant(family(c), point)
+        f = _form_determinant(family(c), point)
+        if math.isnan(f):
+            raise ValueError(f"the node's quadratic form is nan at parameter {c}")
+        return f
 
     f_lo, f_hi = pivot(lo), pivot(hi)
     if f_lo == 0.0:
@@ -608,4 +629,14 @@ def threshold_scan(family, point, param_range) -> float:
         raise NoTransitionError(
             f"no classification change in [{lo}, {hi}]: the node stays "
             f"{'a crossing' if f_lo < 0 else 'definite'} across the range")
-    return float(bisect(pivot, lo, hi, xtol=THRESHOLD_XTOL))
+    a, step = lo, hi - lo
+    if not math.isfinite(step):
+        raise ValueError(f"parameter range [{lo}, {hi}] is not finite")
+    while True:
+        step *= 0.5
+        mid = a + step
+        f_mid = pivot(mid)
+        if f_mid * f_lo >= 0.0:
+            a = mid
+        if f_mid == 0.0 or abs(step) < THRESHOLD_XTOL + THRESHOLD_RTOL * abs(mid):
+            return mid

@@ -90,7 +90,11 @@ def _write_text(text: str, out_path: str | None):
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("the result holds a value that is not finite: an input is "
+                         "out of float range") from None
 
 
 # ----------------------------------------------------------------------
@@ -167,34 +171,37 @@ def cmd_analyze(args) -> int:
     generator = _generator(args)
     x, y = _parse_floats(args.point, (2,), "--point")
     fld = synthesize(generator, _trap_params(args))
-    try:
-        report = classify_node(generator, (x, y), field=fld)
-    except AnalysisError:
-        # NotALinePointError propagates to the exit-code handler (code 4)
-        lam_n, lam_z = transverse_confinement(fld, generator, (x, y))
-        jet = PlanarJet(generator)
-        grad = jet.grad(x, y)
-        grad_sq = float(grad @ grad)
-        payload = {
-            "point": [x, y],
-            "kind": "line",
-            "lambda_normal": lam_n,
-            "lambda_z": lam_z,
-            "grad_norm": float(np.sqrt(grad_sq)),
-            "expected_curvature": 2.0 * fld.kappa * grad_sq,
-        }
-    else:
-        q2 = report.q2
-        payload = {
-            "point": [report.x, report.y],
-            "kind": report.kind,
-            "angle": report.angle,
-            "p_value": report.value,
-            "gradient": list(report.gradient),
-            "q2": [[q2.xx, q2.xy], [q2.xy, q2.yy]],
-            "eigenvalues": [float(v) for v in q2.eigenvalues()],
-            "multipole_order": report.multipole_order,
-        }
+    # where P overflows, the point is refused below as off the network (exit 4),
+    # with no numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            report = classify_node(generator, (x, y), field=fld)
+        except AnalysisError:
+            # NotALinePointError propagates to the exit-code handler (code 4)
+            lam_n, lam_z = transverse_confinement(fld, generator, (x, y))
+            jet = PlanarJet(generator)
+            grad = jet.grad(x, y)
+            grad_sq = float(grad @ grad)
+            payload = {
+                "point": [x, y],
+                "kind": "line",
+                "lambda_normal": lam_n,
+                "lambda_z": lam_z,
+                "grad_norm": float(np.sqrt(grad_sq)),
+                "expected_curvature": 2.0 * fld.kappa * grad_sq,
+            }
+        else:
+            q2 = report.q2
+            payload = {
+                "point": [report.x, report.y],
+                "kind": report.kind,
+                "angle": report.angle,
+                "p_value": report.value,
+                "gradient": list(report.gradient),
+                "q2": [[q2.xx, q2.xy], [q2.xy, q2.yy]],
+                "eigenvalues": [float(v) for v in q2.eigenvalues()],
+                "multipole_order": report.multipole_order,
+            }
     _write_text(_json_dump(payload), args.out)
     return EXIT_OK
 

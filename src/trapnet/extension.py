@@ -60,12 +60,22 @@ class TrapParams:
 
     def __post_init__(self):
         given = (self.charge, self.mass, self.omega)
-        if any(v is not None for v in given) and not all(v is not None for v in given):
+        if all(v is None for v in given):
+            return
+        if not all(v is not None for v in given):
             raise ValueError("charge, mass and omega must be given together")
-        if self.mass is not None and self.mass <= 0:
+        if not all(math.isfinite(v) for v in given):
+            raise ValueError(f"charge, mass and omega must be finite, got {given}")
+        if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if self.omega is not None and self.omega <= 0:
+        if self.omega <= 0:
             raise ValueError("omega must be positive")
+        try:
+            kappa = self.kappa
+        except ArithmeticError:  # a Python float power or quotient out of range
+            kappa = math.inf
+        if not math.isfinite(kappa) or (kappa == 0.0 and self.charge != 0.0):
+            raise ValueError(f"kappa = charge^2 / (4 mass omega^2) is out of float range for {given}")
 
     @property
     def kappa(self) -> float:

@@ -113,9 +113,13 @@ def _worst(per_point, floor=0.0) -> float:
 
 def _gradient_error(fld: Field, points, star, h) -> float:
     _, plus, minus = star
-    an = [fld.gradient(*p) for p in points]
-    return _worst([(np.abs(d - g) / (np.linalg.norm(g) + EPS_FLOOR)).max()
-                   for d, g in zip((plus - minus) / (2.0 * h), an)])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warnings
+        an = [fld.gradient(*p) for p in points]
+        norms = [np.linalg.norm(g) for g in an]
+    if not np.isfinite(norms).all():
+        raise ValueError("|grad phi| is not finite at a sample point: the window is out of range")
+    return _worst([(np.abs(d - g) / (n + EPS_FLOOR)).max()
+                   for d, g, n in zip((plus - minus) / (2.0 * h), an, norms)])
 
 
 def _laplace_residual(star, h) -> float:

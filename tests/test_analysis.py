@@ -401,3 +401,55 @@ def test_threshold_scan_negative_range():
 def test_threshold_scan_no_transition():
     with pytest.raises(NoTransitionError):
         threshold_scan(round_gen, (1.0, 0.0), (0.0, 0.2))
+
+
+def test_threshold_scan_has_no_step_cap():
+    # scipy's bisect stopped after 100 halvings with a RuntimeError here
+    t = threshold_scan(round_gen, (1.0, 0.0), (0.0, 1e30))
+    assert abs(t - 0.25) <= analysis.THRESHOLD_XTOL
+    assert abs(threshold_scan(round_gen, (1.0, 0.0), (1e300, 0.0)) - 0.25) <= 2e-6
+
+
+def test_threshold_scan_refuses_a_nan_pivot():
+    def family(c):  # the cross term is nan above c = 1, so the hi end is nan
+        return X**2 - c * Y**2 + (math.nan if c > 1.0 else 0.0) * X * Y
+    assert threshold_scan(family, (0.0, 0.0), (-1.0, 1.0)) == 0.0
+    with pytest.raises(ValueError, match="quadratic form is nan"):
+        threshold_scan(family, (0.0, 0.0), (-1.0, 2.0))
+    with pytest.raises(ValueError, match="quadratic form is nan"):
+        threshold_scan(family, (0.0, 0.0), (2.0, -1.0))
+
+
+def test_threshold_scan_refuses_an_infinite_range():
+    def family(c):
+        return X**2 - c * Y**2
+    with pytest.raises(ValueError, match="is not finite"):
+        threshold_scan(family, (0.0, 0.0), (-1e308, 1e308))
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf)])
+def test_non_finite_points_are_refused(point):
+    gen = catalog("cusp").compile()
+    for call in (lambda: quadratic_part(gen, point), lambda: classify_node(gen, point),
+                 lambda: transverse_confinement(synthesize(gen), gen, point)):
+        with pytest.raises(ValueError, match="is not finite") as info:
+            call()
+        assert not isinstance(info.value, AnalysisError)
+
+
+def test_overflowing_point_is_not_a_line_point():
+    # Poly2.eval's Python float power x**3 overflows at 1e200
+    gen = catalog("cusp").compile()
+    with pytest.raises(NotALinePointError, match=r"\|P\|=inf"):
+        transverse_confinement(synthesize(gen), gen, (1e200, 1e133))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_plane_data_is_neither_node_nor_line_point():
+    # pi*x overflows at 1e308, so P and its derivatives are nan there
+    gen = catalog("round").compile()
+    with pytest.raises(NotANodeError):
+        classify_node(gen, (1e308, 1e308))
+    with pytest.raises(NotALinePointError, match=r"\|P\|=nan"):
+        transverse_confinement(synthesize(gen), gen, (1e308, 1e308))
+

@@ -17,9 +17,16 @@ memoized lower order along the same axis path; the derivatives must be equal.
 field by recentering each series layer exactly, where ``multipole_order``
 now divides analytic derivatives by factorials.  The coefficients differ in
 the last bits, but the order, a threshold on them, must not.
+
+``threshold_scan`` bisects in its own loop where it called
+``scipy.optimize.bisect``; it takes the same steps, so the thresholds must
+equal scipy's exactly (scipy is a test dependency only).
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,11 +34,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polys
-from trapnet import (FourierGen, FourierMode, PlanarJet, Poly2, catalog, critical_points,
-                     odd_extend, parse_fourier, parse_polynomial, synthesize)
+import trapnet
+from trapnet import (FourierGen, FourierMode, PlanarJet, Poly2, X, Y, catalog, critical_points,
+                     odd_extend, parse_fourier, parse_polynomial, synthesize, threshold_scan)
 from trapnet.algebra import Partials
-from trapnet.analysis import (_TAYLOR_ORDERS, _chain_segments, _refine_newton,
-                              multipole_order, null_lines)
+from trapnet.analysis import (_TAYLOR_ORDERS, THRESHOLD_XTOL, _chain_segments,
+                              _form_determinant, _refine_newton, multipole_order, null_lines)
 from trapnet.extension import _sinh_kernel
 
 # ----------------------------------------------------------------------
@@ -430,3 +438,65 @@ def test_cusp_lines_and_newton():
     window = (-0.5, 2.5, -3.0, 3.0)
     assert_same_lines(gen, window, 120)
     assert assert_same_newton(gen, window, 8) > 0
+
+
+# ----------------------------------------------------------------------
+# threshold_scan against scipy.optimize.bisect
+# ----------------------------------------------------------------------
+
+def round_family(c):
+    return catalog("round", {"c": c}).compile()
+
+
+def tilted_family(c):
+    # det Q2 = -c - 0.0225: one threshold, at c = -0.0225
+    return X**2 - c * Y**2 + 0.3 * X * Y
+
+
+def scipy_threshold(family, point, lo, hi):
+    bisect = pytest.importorskip("scipy.optimize").bisect
+    return bisect(lambda c: _form_determinant(family(c), point), lo, hi, xtol=THRESHOLD_XTOL)
+
+
+def seeded_brackets(seed, root, below, above, n=20):
+    """Brackets around ``root``, half of them given high end first."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        lo, hi = root - rng.uniform(1e-7, below), root + rng.uniform(1e-7, above)
+        yield (hi, lo) if rng.random() < 0.5 else (lo, hi)
+
+
+@pytest.mark.parametrize("family, point, root, below, above", [
+    (round_family, (1.0, 0.0), 0.25, 0.249, 3.0),
+    (round_family, (1.0, 0.0), -0.25, 3.0, 0.249),
+    (tilted_family, (0.0, 0.0), -0.0225, 50.0, 50.0),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_threshold_scan_matches_scipy_bisect(family, point, root, below, above, seed):
+    brackets = list(seeded_brackets(seed, root, below, above))
+    # thresholds a few xtol or less from one end
+    brackets += [(root - 3e-6, root + above), (root + 1e-9, root - below),
+                 (root - below, root + 1e-12)]
+    for lo, hi in brackets:
+        assert threshold_scan(family, point, (lo, hi)) == scipy_threshold(family, point, lo, hi)
+
+
+@pytest.mark.parametrize("bracket", [(-1.0, 2.0), (2.0, -1.0), (-0.5, 2.0)])
+def test_threshold_scan_and_scipy_both_refuse_a_nan_pivot(bracket):
+    def family(c):  # nan above c = 1.5 and between 0.7 and 0.8 (the first midpoint of
+        # (-0.5, 2.0) is 0.75)
+        return X**2 - c * Y**2 + (math.nan if c > 1.5 or 0.7 < c < 0.8 else 0.0) * X * Y
+    with pytest.raises(ValueError):
+        scipy_threshold(family, (0.0, 0.0), *bracket)
+    with pytest.raises(ValueError):
+        threshold_scan(family, (0.0, 0.0), bracket)
+
+
+def test_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trapnet.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import trapnet, sys; assert not any(m.startswith('scipy') for m in sys.modules)"],
+        env=env, check=False)
+    assert proc.returncode == 0
+

@@ -366,3 +366,74 @@ def test_physical_trap_parameters(capsys):
     payload = json.loads(capsys.readouterr().out)
     # kappa = 4 / 4 = 1 times charge^2 scaling: Q^2/(4 M Omega^2) = 1
     assert payload["lambda_normal"] == pytest.approx(26.0)
+
+
+def _run_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trapnet.__file__))}
+    return subprocess.run([sys.executable, "-m", "trapnet", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+@pytest.mark.parametrize("z0", ["60", "100"])
+def test_verify_refuses_an_overflowing_gradient_norm(z0):
+    # |grad phi| of round passes 1e154 here, so its norm overflows to inf and
+    # every relative gradient error would read 0
+    window = f"--window=-1,1,-1,1,{z0},{float(z0) + 0.05}"
+    proc = _run_cli("verify", "round", window, "--samples", "20")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: |grad phi| is not finite at a sample point: "
+                           "the window is out of range\n")
+
+
+@pytest.mark.parametrize("point", ["nan,0", "0,inf", "-inf,nan"])
+def test_analyze_refuses_a_non_finite_point(capsys, point):
+    assert main(["analyze", "cusp", f"--point={point}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not finite" in captured.err
+
+
+@pytest.mark.parametrize("spec, point, size", [
+    ("cusp", "1e200,1e133", "inf"),  # x^3 overflows a Python float power
+    ("round", "1e308,1e308", "nan"),  # pi*x overflows, and the mode sum is nan
+])
+def test_analyze_overflowing_point_is_off_the_network(spec, point, size):
+    proc = _run_cli("analyze", spec, f"--point={point}")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    x, y = (float(v) for v in point.split(","))
+    assert proc.stderr == f"error: point ({x}, {y}) is not on the null set: |P|={size}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "cusp", "--point", "1,1"],
+    ["sample", "cusp", "--window=0,1,0,1", "--res", "2"],
+    ["verify", "cusp", "--samples", "2"],
+])
+@pytest.mark.parametrize("trap, message", [
+    (["--charge", "nan", "--mass", "1", "--omega", "1"], "must be finite"),
+    (["--charge", "1", "--mass", "inf", "--omega", "1"], "must be finite"),
+    (["--charge", "1", "--mass", "1", "--omega=-inf"], "must be finite"),
+    (["--charge", "1e200", "--mass", "1", "--omega", "1"], "out of float range"),
+    (["--charge", "1", "--mass", "1e300", "--omega", "1e10"], "out of float range"),
+])
+def test_trap_parameters_must_be_finite(capsys, command, trap, message):
+    assert main(command + trap) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    # the mode amplitudes are finite but grad P overflows at this line point
+    ["analyze", "round", "--point=1,0", "--param", "c=1e300"],
+    # every bound is finite but the window width overflows
+    ["nulllines", "cusp", "--window=-1e308,1e308,-1,1", "--res", "4"],
+])
+def test_json_report_with_a_non_finite_value_is_refused(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the result holds a value that is not finite" in captured.err

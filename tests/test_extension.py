@@ -312,6 +312,16 @@ def test_trap_params():
         TrapParams(charge=1.0, mass=None, omega=None)
     with pytest.raises(ValueError):
         TrapParams(charge=1.0, mass=-1.0, omega=1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            TrapParams(charge=bad, mass=1.0, omega=1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            TrapParams(charge=1.0, mass=1.0, omega=bad)
+    # charge^2 overflows, mass*omega^2 underflows, and kappa underflows to 0
+    for charge, mass, omega in ((1e200, 1.0, 1.0), (1.0, 1e-300, 1e-200), (1.0, 1e300, 1e10)):
+        with pytest.raises(ValueError, match="out of float range"):
+            TrapParams(charge=charge, mass=mass, omega=omega)
+    assert TrapParams(charge=0.0, mass=1.0, omega=1.0).kappa == 0.0
     f = synthesize(X, TrapParams(charge=3.0, mass=1.0, omega=1.5))
     kappa = 9.0 / 9.0
     assert f.pseudopotential(1.0, 0.0, 0.0) == pytest.approx(kappa * 1.0)

@@ -215,3 +215,19 @@ def test_checks_of_empty_point_sets_are_zero():
     assert check_gradient(fld, np.empty((0, 3))) == 0.0
     assert check_laplace(fld, []) == 0.0
     assert check_boundary(fld, CUSP, []) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda fld, gen, pts: check_gradient(fld, pts),
+    lambda fld, gen, pts: run_checks(
+        fld, gen, VerifyConfig(samples=5, window=(-1, 1, -1, 1, 100, 100.05))),
+])
+def test_overflowing_gradient_norm_is_refused_without_warnings(check):
+    # at z = 100 the round field's stencil values are finite, but |grad phi|
+    # passes 1e154 and its norm overflows, which would read as a zero error
+    gen = catalog("round").compile()
+    pts = np.array([[0.1, 0.2, 100.0], [0.3, -0.4, 100.02]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\|grad phi\| is not finite"):
+            check(synthesize(gen), gen, pts)
