@@ -171,8 +171,8 @@ def cmd_analyze(args) -> int:
     generator = _generator(args)
     x, y = _parse_floats(args.point, (2,), "--point")
     fld = synthesize(generator, _trap_params(args))
-    # where P overflows, the point is refused below as off the network (exit 4),
-    # with no numpy warnings
+    # where P or its derivatives overflow, the point is refused as off the network
+    # (exit 4) or its report as not finite (exit 2), with no numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             report = classify_node(generator, (x, y), field=fld)
