@@ -13,6 +13,7 @@ tolerance policy belongs to the callers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -29,6 +30,35 @@ __all__ = [
     "Y",
     "ONE",
 ]
+
+
+class _Powers(dict):
+    """Lazy map n -> ``base ** n``, each power computed once.
+
+    A table serves one call and is never stored: on a grid it holds one
+    array per exponent.
+    """
+
+    __slots__ = ("_base",)
+
+    def __init__(self, base):
+        self._base = base
+
+    def __missing__(self, n):
+        value = self[n] = self._base ** n
+        return value
+
+
+def _powers(base):
+    """n -> ``base ** n`` for every term, layer and order of one call.
+
+    ``base ** n`` is the expression a term-by-term loop evaluates, so the
+    bits are the same.  An array's powers come from a table; a scalar power
+    costs less than a table lookup, so it is taken each time.
+    """
+    if isinstance(base, np.ndarray):
+        return _Powers(base).__getitem__
+    return functools.partial(pow, base)
 
 
 class Poly2:
@@ -144,9 +174,13 @@ class Poly2:
 
     def eval(self, x, y):
         """Evaluate at a point; accepts scalars or numpy arrays."""
+        return self._evaluate(_powers(x), _powers(y))
+
+    def _evaluate(self, xpow, ypow):
+        """Sum of ``c * x**i * y**j`` in sorted term order; ``xpow(i)`` is ``x**i``."""
         acc = 0.0
-        for (i, j) in sorted(self._terms):
-            acc = acc + self._terms[(i, j)] * x**i * y**j
+        for (i, j), c in sorted(self._terms.items()):
+            acc = acc + c * xpow(i) * ypow(j)
         return acc
 
     def substitute(self, px: "Poly2", py: "Poly2") -> "Poly2":
@@ -271,9 +305,13 @@ class ZSeries:
         return not self._layers
 
     def eval(self, x, y, z):
+        return self._evaluate(_powers(x), _powers(y), z)
+
+    def _evaluate(self, xpow, ypow, z):
+        """Sum of ``z**n / n! * layer_n(x, y)`` in order of n."""
         acc = 0.0
-        for n in sorted(self._layers):
-            acc = acc + z**n / math.factorial(n) * self._layers[n].eval(x, y)
+        for n, layer in sorted(self._layers.items()):
+            acc = acc + z**n / math.factorial(n) * layer._evaluate(xpow, ypow)
         return acc
 
     def diff(self, axis: str) -> "ZSeries":
@@ -347,8 +385,14 @@ class Partials:
         self._memo = {}
 
     def partials(self, orders, *coords):
-        """Value of each requested partial derivative at the given point."""
-        return [self.derivative(counts).eval(*coords) for counts in orders]
+        """Value of each requested partial derivative at the given point.
+
+        On arrays each power of x and y is computed once and shared by every
+        order and every layer of a series; the bits are those ``eval`` gives.
+        """
+        x, y, *z = coords
+        xpow, ypow = _powers(x), _powers(y)
+        return [self.derivative(counts)._evaluate(xpow, ypow, *z) for counts in orders]
 
     def derivative(self, counts):
         """The partial derivative of the base for one order, derived once."""

@@ -158,7 +158,7 @@ def validate_window(window, axes: int) -> tuple[float, ...]:
     """Return a window of (lo, hi) bounds per axis as floats, checked.
 
     Raises ValueError unless there are ``axes`` pairs, every bound is finite
-    and hi > lo on every axis.
+    and hi > lo with a finite width hi - lo on every axis.
     """
     bounds = tuple(float(v) for v in window)
     if len(bounds) != 2 * axes:
@@ -167,6 +167,8 @@ def validate_window(window, axes: int) -> tuple[float, ...]:
         raise ValueError(f"window bounds must be finite, got {bounds}")
     if not all(hi > lo for lo, hi in zip(bounds[::2], bounds[1::2])):
         raise ValueError(f"window ranges must be non-degenerate (hi > lo), got {bounds}")
+    if not all(math.isfinite(hi - lo) for lo, hi in zip(bounds[::2], bounds[1::2])):
+        raise ValueError(f"window widths hi - lo must be finite, got {bounds}")
     return bounds
 
 
@@ -354,7 +356,7 @@ _scalar_pow = np.frompyfunc(lambda a, n: np.float64(a) ** n, 2, 1)
 def _batch_partials(jet: PlanarJet, orders, x, y) -> list[np.ndarray]:
     """``jet.partials`` at the points (x, y), equal to one call per point.
 
-    Polynomials are evaluated term by term as ``Poly2.eval`` does, with
+    Polynomials go through the term loop of ``Poly2.eval``, from tables of
     scalar powers.  Mode sums keep only the real part of each complex term,
     ``c.real*w.real - c.imag*w.imag``: that is a scalar complex product's,
     where numpy's array product may fuse the multiply and the subtraction.
@@ -365,12 +367,7 @@ def _batch_partials(jet: PlanarJet, orders, x, y) -> list[np.ndarray]:
         xpow, ypow = ({n: _scalar_pow(a, n).astype(float)
                        for n in {key[axis] for p in polys for key in p.terms}}
                       for axis, a in enumerate((x, y)))
-        values = []
-        for p in polys:
-            acc = 0.0
-            for (i, j), c in sorted(p.terms.items()):
-                acc = acc + c * xpow[i] * ypow[j]
-            values.append(acc)
+        values = [p._evaluate(xpow.__getitem__, ypow.__getitem__) for p in polys]
     else:
         values = [0.0] * len(orders)
         for kx, ky, amp in engine.waves:

@@ -15,7 +15,6 @@ precondition failure.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -97,6 +96,18 @@ def _json_dump(obj) -> str:
                          "out of float range") from None
 
 
+def _json_with_values(payload, values) -> str:
+    """``_json_dump`` of the payload with its empty "values" list filled; same bytes.
+
+    Only the small header goes through the json encoder.  Each value, a
+    finite float, is formatted once with ``float.__repr__`` as the encoder
+    formats it, and the list is spliced in at the encoder's indent.
+    """
+    text = _json_dump(payload)
+    body = ",\n    ".join(map(float.__repr__, values))
+    return text.replace('"values": []', f'"values": [\n    {body}\n  ]', 1)
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -138,14 +149,19 @@ def cmd_sample(args) -> int:
             "window": list(window),
             "counts": list(counts),
             "order": "x-major" + ("" if ndim == 2 else ", z fastest"),
-            "values": values,
+            "values": [],
         }
-        _write_text(_json_dump(payload), args.out)
+        _write_text(_json_with_values(payload, values), args.out)
     else:
-        # product() walks the axes in the same C order as ravel()
-        points = itertools.product(*(a.tolist() for a in axes))
-        rows = (",".join(map(repr, (*point, v))) for point, v in zip(points, values))
+        # each coordinate is formatted once; the "x,y[,z]," prefixes of the
+        # rows run in the same C order as ravel(), the last axis generated
+        fields = [[repr(v) + "," for v in axis.tolist()] for axis in axes]
+        outer = [""]
+        for axis_fields in fields[:-1]:
+            outer = [p + f for p in outer for f in axis_fields]
+        prefixes = (p + f for p in outer for f in fields[-1])
         header = "x,y,value" if ndim == 2 else "x,y,z,value"
+        rows = map(str.__add__, prefixes, map(float.__repr__, values))
         _write_text("\n".join([header, *rows]) + "\n", args.out)
     return EXIT_OK
 

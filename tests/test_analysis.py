@@ -133,6 +133,28 @@ def test_validate_window_returns_floats():
     assert validate_window((0, 1, -2, 3.5, 0, 1), 3) == (0.0, 1.0, -2.0, 3.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("window", [
+    (-1e308, 1e308, -1.0, 1.0),
+    (-1.0, 1.0, -1.7976931348623157e308, 1.7976931348623157e308),
+    (-1e308, 9e307, 0.0, 1.0),
+])
+def test_window_width_must_be_finite(window):
+    with pytest.raises(ValueError, match=r"window widths hi - lo must be finite"):
+        validate_window(window, 2)
+    with pytest.raises(ValueError, match=r"window widths hi - lo must be finite"):
+        grid_axes(window, (4, 4))
+
+
+def test_widest_finite_window_is_accepted():
+    # 9e307 - (-8.9e307) is just below the largest float
+    window = (-8.9e307, 9e307, -1.0, 1.0)
+    assert validate_window(window, 2) == window
+    with np.errstate(all="raise"):
+        axes = grid_axes(window, (3, 2))
+    assert axes[0][[0, -1]].tolist() == [-8.9e307, 9e307]
+    assert np.isfinite(axes[0]).all()
+
+
 def test_null_lines_closed_loop():
     # x^2 + y^2 - 1: a circle, one closed polyline
     gen = Poly2({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})

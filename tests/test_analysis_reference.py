@@ -18,6 +18,11 @@ field by recentering each series layer exactly, where ``multipole_order``
 now divides analytic derivatives by factorials.  The coefficients differ in
 the last bits, but the order, a threshold on them, must not.
 
+``reference_poly_eval`` and ``reference_series_eval`` are the term-by-term
+loops of ``Poly2.eval`` and ``ZSeries.eval``, which raised each coordinate to
+each power once per term, layer and order; evaluation now reads the powers
+from one table per call, so every value must be the same bit for bit.
+
 ``threshold_scan`` bisects in its own loop where it called
 ``scipy.optimize.bisect``; it takes the same steps, so the thresholds must
 equal scipy's exactly (scipy is a test dependency only).
@@ -35,12 +40,13 @@ from hypothesis import strategies as st
 
 from conftest import polys
 import trapnet
-from trapnet import (FourierGen, FourierMode, PlanarJet, Poly2, X, Y, catalog, critical_points,
-                     odd_extend, parse_fourier, parse_polynomial, synthesize, threshold_scan)
+from trapnet import (FourierGen, FourierMode, PlanarJet, Poly2, X, Y, ZSeries, catalog,
+                     critical_points, odd_extend, parse_fourier, parse_polynomial, synthesize,
+                     threshold_scan)
 from trapnet.algebra import Partials
 from trapnet.analysis import (_TAYLOR_ORDERS, THRESHOLD_XTOL, _chain_segments,
                               _form_determinant, _refine_newton, multipole_order, null_lines)
-from trapnet.extension import _sinh_kernel
+from trapnet.extension import _GRADIENT, _HESSIAN, _THIRD, _sinh_kernel
 
 # ----------------------------------------------------------------------
 # reference implementations (the scalar loops)
@@ -138,14 +144,29 @@ def reference_refine_newton(jet, p, span, max_iter=120):
     return None
 
 
+def reference_poly_eval(p, x, y):
+    acc = 0.0
+    for (i, j) in sorted(p.terms):
+        acc = acc + p.terms[(i, j)] * x**i * y**j
+    return acc
+
+
+def reference_series_eval(s, x, y, z):
+    acc = 0.0
+    for n in sorted(s.layers):
+        acc = acc + z**n / math.factorial(n) * reference_poly_eval(s.layers[n], x, y)
+    return acc
+
+
 def reference_partials(base, orders, *coords):
+    evaluate = reference_series_eval if isinstance(base, ZSeries) else reference_poly_eval
     out = []
     for counts in orders:
         d = base
         for axis, count in zip("xyz", counts):
             for _ in range(count):
                 d = d.diff(axis)
-        out.append((d, d.eval(*coords)))
+        out.append((d, evaluate(d, *coords)))
     return out
 
 
@@ -315,6 +336,80 @@ def test_partials_match_derivatives_from_the_base(p, x, y, z, rng):
                 orders, values, reference_partials(base, orders, *coords)):
             assert engine._derive(counts) == want
             assert value == want_value
+
+
+def assert_same_outcome(got, want):
+    """Same error, or same type, shape and bytes of every value.
+
+    Equal bytes mean equal values, equal signs of zero and inf and nan at
+    the same positions.
+    """
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_outcome(g, w)
+    elif want is OverflowError:
+        assert got is want
+    else:
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def outcome(fn, *args):
+    """The value of a call, or the type of the OverflowError it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except OverflowError:  # a Python float power out of range raises
+        return OverflowError
+
+
+def assert_evaluation_matches(p, x, y, z):
+    """eval and partials of P and of its continuation against the loops."""
+    series = odd_extend(p)
+    assert_same_outcome(outcome(p.eval, x, y), outcome(reference_poly_eval, p, x, y))
+    assert_same_outcome(outcome(series.eval, x, y, z),
+                        outcome(reference_series_eval, series, x, y, z))
+    plane = [(i, j) for i in range(4) for j in range(4 - i)]
+    for engine, base, orders, coords in (
+            (Partials(p), p, plane, (x, y)),
+            (synthesize(p), series, _GRADIENT + _HESSIAN + _THIRD, (x, y, z))):
+        want = outcome(lambda: [v for _, v in reference_partials(base, orders, *coords)])
+        assert_same_outcome(outcome(engine.partials, orders, *coords), want)
+
+
+# each kind of point the evaluation accepts, with negative bases and signed zeros
+EVAL_POINTS = {
+    "1-D arrays": (np.array([-1.5, -1.0, -0.0, 0.0, 0.3, 1.25]),
+                   np.array([0.7, -0.0, -1.1, 2.0, 0.0, -0.4]),
+                   np.array([-0.5, 0.0, -0.0, 0.25, 0.5, -0.3])),
+    "0-d arrays": (np.array(-0.7), np.array(1.3), np.array(-0.2)),
+    "floats": (-0.8, 1.1, 0.3),
+    "signed zeros": (-0.0, 0.0, -0.0),
+    "np.float64": (np.float64(-1.3), np.float64(0.6), np.float64(-0.45)),
+    "ints": (-2, 3, -1),
+    # powers overflow to inf, and inf - inf or 0 * inf give nan
+    "overflowing arrays": (np.array([-1e30, -1e13, 0.0, 1e13, 1e30, 1e200]),
+                           np.array([1e30, -1e20, 1e200, 0.0, -1e200, 1.0]),
+                           np.array([0.0, 1e100, -1e30, 1e200, 2.0, -1e13])),
+    "overflowing floats": (1e200, -1e160, 1e100),
+}
+float_coeffs = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_degree=24, max_terms=8, coeffs=float_coeffs), st.sampled_from(list(EVAL_POINTS)))
+def test_evaluation_matches_term_by_term_loops(p, kind):
+    assert_evaluation_matches(p, *EVAL_POINTS[kind])
+
+
+# the reference loops take about a second per polynomial on this grid
+@settings(max_examples=4, deadline=None)
+@given(polys(max_degree=24, max_terms=8, coeffs=float_coeffs))
+def test_grid_evaluation_matches_term_by_term_loops(p):
+    axes = np.linspace(-1.0, 1.0, 16), np.linspace(-1.0, 1.0, 16), np.linspace(-0.5, 0.5, 16)
+    assert_evaluation_matches(p, *np.meshgrid(*axes, indexing="ij"))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import trapnet
+from trapnet import cli
 from trapnet.cli import main
 
 ROUND_SPEC = {
@@ -118,6 +120,48 @@ def test_sample_json_format(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"] == [3, 3]
     assert payload["values"] == [0.0] * 9
+
+
+def encoder_sample_text(fmt, window, counts, values):
+    """``sample`` output as the json encoder (indent 2) and a per-row join wrote it."""
+    axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(window[::2], window[1::2], counts)]
+    if fmt == "json":
+        payload = {"quantity": "phi", "window": list(window), "counts": list(counts),
+                   "order": "x-major" + ("" if len(counts) == 2 else ", z fastest"),
+                   "values": values}
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    points = itertools.product(*(a.tolist() for a in axes))
+    rows = (",".join(map(repr, (*point, v))) for point, v in zip(points, values))
+    header = "x,y,value" if len(counts) == 2 else "x,y,z,value"
+    return "\n".join([header, *rows]) + "\n"
+
+
+# signed zeros, subnormals, huge and plain values
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308, 0.1, -2.0, 1.0]
+
+
+class SpecialField:
+    def value(self, x, y, z):
+        return np.resize(np.array(SPECIAL_VALUES), x.shape)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("window, counts", [
+    ((-1.0, -0.0, 0.0, 1e-310), (4, 3)),
+    ((-1.0, 1.0, -0.0, 0.5, -0.5, -0.0), (3, 2, 4)),
+    ((-1e300, 1e300, 0.1, 0.3, 2.5e-320, 1.0), (2, 3, 5)),
+])
+def test_sample_output_matches_the_encoder(monkeypatch, capsys, tmp_path,
+                                           window, counts, fmt, to_file):
+    monkeypatch.setattr(cli, "synthesize", lambda generator, params: SpecialField())
+    argv = ["sample", "linear", "--quantity", "phi", "--format", fmt,
+            "--window=" + ",".join(map(repr, window)), "--res", ",".join(map(str, counts))]
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)] if to_file else argv) == 0
+    text = out.read_text() if to_file else capsys.readouterr().out
+    values = np.resize(np.array(SPECIAL_VALUES), counts).ravel().tolist()
+    assert text == encoder_sample_text(fmt, window, counts, values)
 
 
 def test_sample_rejects_planar_quantity_on_3d_window(capsys):
@@ -429,11 +473,28 @@ def test_trap_parameters_must_be_finite(capsys, command, trap, message):
 @pytest.mark.parametrize("argv", [
     # the mode amplitudes are finite but grad P overflows at this line point
     ["analyze", "round", "--point=1,0", "--param", "c=1e300"],
-    # every bound is finite but the window width overflows
-    ["nulllines", "cusp", "--window=-1e308,1e308,-1,1", "--res", "4"],
+    # and at the line point on the other axis
+    ["analyze", "round", "--point=0,1", "--param", "c=1e300"],
 ])
 def test_json_report_with_a_non_finite_value_is_refused(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "the result holds a value that is not finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nulllines", "cusp", "--window=-1e308,1e308,-1,1", "--res", "4"],
+    ["sample", "cusp", "--quantity", "p", "--window=-1e308,1e308,-1,1", "--res", "4"],
+    ["sample", "cusp", "--window=-1,1,-1,1,-1e308,1e308", "--res", "4"],
+    ["verify", "cusp", "--window=-1e308,1e308,-1,1,-1,1", "--samples", "5"],
+])
+def test_window_with_an_infinite_width_is_refused_up_front(argv):
+    # every bound is finite but hi - lo overflows: one error line, no numpy warnings
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trapnet.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "trapnet", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: window widths hi - lo must be finite")
+    assert proc.stderr.count("\n") == 1

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import polys, random_poly
 from trapnet import (Field, PlanarJet, Poly2, TrapParams, X, Y, ZSeries, catalog,
                      cauchy_extend, even_extend, odd_extend, odd_extend_fourier,
-                     parse_fourier, sample_points, synthesize)
+                     parse_fourier, parse_polynomial, sample_points, synthesize)
 from trapnet.extension import _sinh_kernel
 
 CUSP = Y**2 - X**3
@@ -346,3 +347,31 @@ def test_bad_derivative_count_is_refused(name, bad):
                  lambda: jet.deriv(0, bad, 0.3, 0.4)):
         with pytest.raises(ValueError, match="non-negative integers"):
             call()
+
+
+class CountedPowers(np.ndarray):
+    """Coordinate array that counts each ``base ** n`` taken of it."""
+
+    def __pow__(self, n):
+        self.powers[n] += 1
+        return np.asarray(self) ** n
+
+
+def test_pseudopotential_takes_each_power_of_x_and_y_once():
+    # degree 24: the continuation has 13 layers, all on the same x^i y^j
+    fld = synthesize(parse_polynomial("(0.7*x^2 + 1.1*x*y + 0.9*y^2 + 1)^12"))
+    axes = np.linspace(-1.0, 1.0, 6), np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 0.5, 4)
+    plain = np.meshgrid(*axes, indexing="ij")
+    coords = [c.view(CountedPowers) for c in plain]
+    for c in coords:
+        c.powers = collections.Counter()
+    upp = fld.pseudopotential(*coords)
+    assert type(upp) is np.ndarray
+    assert upp.tobytes() == fld.pseudopotential(*plain).tobytes()
+    x, y, z = coords
+    for c in (x, y):
+        assert sorted(c.powers) == list(range(25))
+        assert max(c.powers.values()) == 1
+    # each of the three gradient orders weights its layers by z**n / n!
+    assert sorted(z.powers) == list(range(25))
+    assert max(z.powers.values()) <= 3
