@@ -68,7 +68,7 @@ def main():
 
     xs = np.linspace(window[0], window[1], 101)
     ys = np.linspace(window[2], window[3], 101)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    gx, gy = np.meshgrid(xs, ys, indexing="ij", sparse=True)
     upp = fld.pseudopotential(gx, gy, np.zeros_like(gx))
     rows = ["x,y,value"]
     for i in range(101):

@@ -224,9 +224,10 @@ def null_lines(generator, window, resolution: int) -> list[Polyline]:
     """
     xs, ys = grid_axes(window, (resolution, resolution))
     jet = PlanarJet(generator)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    # a constant generator evaluates to a scalar
-    values = np.broadcast_to(np.asarray(jet.value(gx, gy), dtype=float), gx.shape)
+    # open axes: the same values as on a dense grid; a constant generator
+    # evaluates to a scalar
+    gx, gy = np.meshgrid(xs, ys, indexing="ij", sparse=True)
+    values = np.broadcast_to(np.asarray(jet.value(gx, gy), dtype=float), (xs.size, ys.size))
     neg = values < 0.0
 
     # vertices are keyed by their exact position so that crossings through a

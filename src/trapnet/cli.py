@@ -15,6 +15,7 @@ precondition failure.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -33,6 +34,10 @@ EXIT_IO = 3
 EXIT_ANALYSIS = 4
 
 QUANTITIES = ("phi", "upp", "grad_norm", "p")
+
+# values that `sample` formats and writes per slice: bounds the Python floats
+# and strings held at once, whatever the grid size
+_SLICE = 8192
 
 
 def _parse_floats(text: str, counts: tuple[int, ...], what: str) -> tuple:
@@ -80,12 +85,14 @@ def _trap_params(args) -> TrapParams:
     return TrapParams(charge=args.charge, mass=args.mass, omega=args.omega)
 
 
-def _write_text(text: str, out_path: str | None):
+def _write_text(text, out_path: str | None):
+    """Write ``text``: a string, or an iterable of strings written in turn."""
+    parts = [text] if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _json_dump(obj) -> str:
@@ -96,16 +103,35 @@ def _json_dump(obj) -> str:
                          "out of float range") from None
 
 
-def _json_with_values(payload, values) -> str:
-    """``_json_dump`` of the payload with its empty "values" list filled; same bytes.
+def _value_text(values: np.ndarray, sep: str, prefixes=None):
+    """Yield ``sep.join`` of each value of a 1-D float array, formatted with
+    ``float.__repr__``, in pieces whose concatenation is that one join.
+
+    With ``prefixes``, an iterator of strings, each value follows the next
+    prefix.  The values are formatted and joined ``_SLICE`` at a time, so
+    only one slice's floats and strings are held as Python objects at once.
+    """
+    for start in range(0, values.size, _SLICE):
+        chunk = values[start:start + _SLICE].tolist()
+        rows = map(float.__repr__, chunk)
+        if prefixes is not None:
+            rows = map(str.__add__, itertools.islice(prefixes, len(chunk)), rows)
+        if start:
+            yield sep
+        yield sep.join(rows)
+
+
+def _json_with_values(payload, values: np.ndarray):
+    """``_json_dump`` of the payload with its empty "values" list filled, as
+    pieces of text; the same bytes.
 
     Only the small header goes through the json encoder.  Each value, a
     finite float, is formatted once with ``float.__repr__`` as the encoder
     formats it, and the list is spliced in at the encoder's indent.
     """
-    text = _json_dump(payload)
-    body = ",\n    ".join(map(float.__repr__, values))
-    return text.replace('"values": []', f'"values": [\n    {body}\n  ]', 1)
+    head, tail = _json_dump(payload).split('"values": []')
+    return itertools.chain([head, '"values": [\n    '], _value_text(values, ",\n    "),
+                           ["\n  ]", tail])
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +150,9 @@ def cmd_sample(args) -> int:
     if args.quantity == "p" and ndim == 3:
         raise GeneratorError("quantity 'p' is planar; use a 4-value window")
 
-    coords = np.meshgrid(*axes, indexing="ij")
+    # open axes: each factor of a separable term is computed on the axes it
+    # depends on, and broadcasting gives every point the same operations
+    coords = np.meshgrid(*axes, indexing="ij", sparse=True)
     x, y = coords[0], coords[1]
     z = coords[2] if ndim == 3 else np.zeros_like(x)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warnings
@@ -138,10 +166,10 @@ def cmd_sample(args) -> int:
                 data = fld.pseudopotential(x, y, z)
             else:
                 data = np.sqrt(sum(c ** 2 for c in fld.gradient(x, y, z)))
-    data = np.broadcast_to(np.asarray(data, dtype=float), x.shape)
+    data = np.broadcast_to(np.asarray(data, dtype=float), tuple(counts))
     if not np.isfinite(data).all():
         raise ValueError(f"{args.quantity} is not finite on this grid: the window is out of range")
-    values = data.ravel().tolist()
+    values = data.ravel()
 
     if args.format == "json":
         payload = {
@@ -161,8 +189,8 @@ def cmd_sample(args) -> int:
             outer = [p + f for p in outer for f in axis_fields]
         prefixes = (p + f for p in outer for f in fields[-1])
         header = "x,y,value" if ndim == 2 else "x,y,z,value"
-        rows = map(str.__add__, prefixes, map(float.__repr__, values))
-        _write_text("\n".join([header, *rows]) + "\n", args.out)
+        _write_text(itertools.chain([header + "\n"], _value_text(values, "\n", prefixes), ["\n"]),
+                    args.out)
     return EXIT_OK
 
 

@@ -142,16 +142,20 @@ SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308, 
 
 class SpecialField:
     def value(self, x, y, z):
-        return np.resize(np.array(SPECIAL_VALUES), x.shape)
+        return np.resize(np.array(SPECIAL_VALUES),
+                         np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)))
+
+
+ENCODER_GRIDS = [
+    ((-1.0, -0.0, 0.0, 1e-310), (4, 3)),
+    ((-1.0, 1.0, -0.0, 0.5, -0.5, -0.0), (3, 2, 4)),
+    ((-1e300, 1e300, 0.1, 0.3, 2.5e-320, 1.0), (2, 3, 5)),
+]
 
 
 @pytest.mark.parametrize("to_file", [False, True])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("window, counts", [
-    ((-1.0, -0.0, 0.0, 1e-310), (4, 3)),
-    ((-1.0, 1.0, -0.0, 0.5, -0.5, -0.0), (3, 2, 4)),
-    ((-1e300, 1e300, 0.1, 0.3, 2.5e-320, 1.0), (2, 3, 5)),
-])
+@pytest.mark.parametrize("window, counts", ENCODER_GRIDS)
 def test_sample_output_matches_the_encoder(monkeypatch, capsys, tmp_path,
                                            window, counts, fmt, to_file):
     monkeypatch.setattr(cli, "synthesize", lambda generator, params: SpecialField())
@@ -162,6 +166,27 @@ def test_sample_output_matches_the_encoder(monkeypatch, capsys, tmp_path,
     text = out.read_text() if to_file else capsys.readouterr().out
     values = np.resize(np.array(SPECIAL_VALUES), counts).ravel().tolist()
     assert text == encoder_sample_text(fmt, window, counts, values)
+
+
+@pytest.mark.parametrize("slice_size", [1, 7, cli._SLICE])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("window, counts", [
+    *ENCODER_GRIDS,                                     # 12, 24 and 30 points
+    ((-1.0, 1.0, -1.0, 1.0), (5, 3)),                   # 15 = 2*7 + a 1-point last slice
+    ((0.0, 1.0, -2.0, 2.0), (7, 2)),                    # 14 = 2*7
+    ((-1.0, 1.0, -1.0, 1.0, 0.0, 1.0), (32, 32, 16)),   # 16384 = 2 default slices
+])
+def test_sample_output_is_the_same_at_every_slice_size(monkeypatch, capsys,
+                                                       window, counts, fmt, slice_size):
+    monkeypatch.setattr(cli, "_SLICE", slice_size)
+    monkeypatch.setattr(cli, "synthesize", lambda generator, params: SpecialField())
+    assert main(["sample", "linear", "--quantity", "phi", "--format", fmt,
+                 "--window=" + ",".join(map(repr, window)),
+                 "--res", ",".join(map(str, counts))]) == 0
+    values = np.resize(np.array(SPECIAL_VALUES), counts).ravel().tolist()
+    want = encoder_sample_text(fmt, window, counts, values)
+    # compared as lists of lines, so that a failure names the first differing line quickly
+    assert capsys.readouterr().out.split("\n") == want.split("\n")
 
 
 def test_sample_rejects_planar_quantity_on_3d_window(capsys):
