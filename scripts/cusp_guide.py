@@ -7,18 +7,20 @@ and tabulates how the transverse confinement decays on the approach to the
 tip (the gradient vanishes there, so the leading-order stiffness drops to
 zero; the script reports the measured rate without asserting one).
 
-Outputs: cusp_nulllines.json, cusp_upp.csv and a printed summary.
+Outputs: cusp_nulllines.json and cusp_upp.csv, each written by the CLI
+(``trapnet nulllines`` and ``trapnet sample --quantity upp --format csv``),
+and a printed summary.
 """
 
 import argparse
 import json
-import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from trapnet import (VerifyConfig, catalog, classify_node, critical_points,
-                     null_lines, run_checks, synthesize, transverse_confinement)
+from trapnet import (VerifyConfig, catalog, classify_node, cli, critical_points, run_checks,
+                     synthesize, transverse_confinement)
 from trapnet.analysis import PlanarJet
 
 
@@ -42,13 +44,18 @@ def main():
           f"grad={report.max_gradient_error:.2e}  "
           f"laplace={report.max_laplace_residual:.2e}")
 
-    lines = null_lines(gen, window, args.res)
-    (out / "cusp_nulllines.json").write_text(json.dumps({
-        "window": list(window), "resolution": args.res,
-        "polylines": [{"closed": pl.closed, "points": pl.points} for pl in lines],
-    }, indent=2))
+    bounds = ",".join(map(repr, window))
+    common = ["cusp", f"--param=alpha={args.alpha!r}", f"--window={bounds}"]
+    for argv in (["nulllines", *common, "--res", str(args.res),
+                  "--out", str(out / "cusp_nulllines.json")],
+                 ["sample", *common, "--quantity", "upp", "--res", "101", "--format", "csv",
+                  "--out", str(out / "cusp_upp.csv")]):
+        code = cli.main(argv)
+        if code:
+            sys.exit(code)
+    lines = json.loads((out / "cusp_nulllines.json").read_text())["polylines"]
     print(f"null lines: {len(lines)} polyline(s), "
-          f"{sum(len(pl.points) for pl in lines)} vertices")
+          f"{sum(len(pl['points']) for pl in lines)} vertices")
 
     nodes = [cp for cp in critical_points(gen, window, 32) if cp.is_node]
     for cp in nodes:
@@ -66,15 +73,6 @@ def main():
         gnorm = float(np.linalg.norm(jet.grad(*point)))
         print(f"  {t:<7g}{gnorm:<13.4e}({lam_n:.4e}, {lam_z:.4e})")
 
-    xs = np.linspace(window[0], window[1], 101)
-    ys = np.linspace(window[2], window[3], 101)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij", sparse=True)
-    upp = fld.pseudopotential(gx, gy, np.zeros_like(gx))
-    rows = ["x,y,value"]
-    for i in range(101):
-        for j in range(101):
-            rows.append(f"{xs[i]!r},{ys[j]!r},{float(upp[i, j])!r}")
-    (out / "cusp_upp.csv").write_text("\n".join(rows) + "\n")
     print(f"\nwrote {out / 'cusp_nulllines.json'} and {out / 'cusp_upp.csv'}")
 
 

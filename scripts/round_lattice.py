@@ -48,12 +48,13 @@ def main():
     threshold = threshold_scan(family, NODE, (0.0, 0.5))
     print(f"\nconnectivity threshold: c = {threshold:.6f}")
 
-    fld = synthesize(family(threshold))
+    gen = family(threshold)
+    fld = synthesize(gen)
     hess = fld.pseudopotential_hessian(*NODE, 0.0)
     print(f"node multipole order at threshold: {multipole_order(fld, (*NODE, 0.0))}")
     print(f"max |pseudopotential Hessian| at node: {np.abs(hess).max():.2e}")
 
-    report = run_checks(fld, family(threshold), VerifyConfig(samples=300))
+    report = run_checks(fld, gen, VerifyConfig(samples=300))
     print(f"oracle checks: pass={report.passed}")
 
     (out / "round_scan.json").write_text(json.dumps({

@@ -91,10 +91,6 @@ class Poly2:
     def const(cls, value) -> "Poly2":
         return cls({(0, 0): value})
 
-    @classmethod
-    def zero(cls) -> "Poly2":
-        return cls()
-
     def coeff(self, i: int, j: int) -> float:
         return self._terms.get((i, j), 0.0)
 
@@ -294,12 +290,7 @@ class ZSeries:
         return MappingProxyType(self._layers)
 
     def layer(self, n: int) -> Poly2:
-        return self._layers.get(n, Poly2.zero())
-
-    @property
-    def max_order(self) -> int:
-        """Largest stored z-order, or -1 for the zero series."""
-        return max(self._layers, default=-1)
+        return self._layers.get(n, Poly2())
 
     def is_zero(self) -> bool:
         return not self._layers

@@ -149,10 +149,6 @@ class PlanarJet:
     def grad(self, x, y) -> np.ndarray:
         return np.array(self._engine.partials(((1, 0), (0, 1)), x, y))
 
-    def hess(self, x, y) -> np.ndarray:
-        hxx, hxy, hyy = self._engine.partials(((2, 0), (1, 1), (0, 2)), x, y)
-        return np.array([[hxx, hxy], [hxy, hyy]])
-
 
 def validate_window(window, axes: int) -> tuple[float, ...]:
     """Return a window of (lo, hi) bounds per axis as floats, checked.
@@ -348,24 +344,20 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
 _NEWTON_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-# numpy's array power is not the power of one np.float64 coordinate, which
-# is what a point evaluation uses; this one is, element by element, and gives
-# inf on overflow where Python's pow would raise
-_scalar_pow = np.frompyfunc(lambda a, n: np.float64(a) ** n, 2, 1)
-
-
 def _batch_partials(jet: PlanarJet, orders, x, y) -> list[np.ndarray]:
     """``jet.partials`` at the points (x, y), equal to one call per point.
 
-    Polynomials go through the term loop of ``Poly2.eval``, from tables of
-    scalar powers.  Mode sums keep only the real part of each complex term,
+    Polynomials go through the term loop of ``Poly2.eval``, from tables that
+    hold the C ``pow`` of each element, as a point evaluation takes it
+    (``np.float_power``); numpy's array power ``a ** n`` may differ from that
+    by an ulp.  Mode sums keep only the real part of each complex term,
     ``c.real*w.real - c.imag*w.imag``: that is a scalar complex product's,
     where numpy's array product may fuse the multiply and the subtraction.
     """
     engine = jet._engine
     if isinstance(engine, Partials):
         polys = [engine.derivative(counts) for counts in orders]
-        xpow, ypow = ({n: _scalar_pow(a, n).astype(float)
+        xpow, ypow = ({n: np.float_power(a, n)
                        for n in {key[axis] for p in polys for key in p.terms}}
                       for axis, a in enumerate((x, y)))
         values = [p._evaluate(xpow.__getitem__, ypow.__getitem__) for p in polys]

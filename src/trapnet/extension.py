@@ -182,9 +182,6 @@ class FourierField:
                 out[i] = float(acc) if np.ndim(acc) == 0 else acc
         return out
 
-    def eval(self, x, y, z):
-        return self.partials(((0, 0, 0),), x, y, z)[0]
-
     def __repr__(self) -> str:
         return f"FourierField({self._gen!r})"
 

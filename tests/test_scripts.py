@@ -5,10 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import trapnet
+from trapnet.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -27,16 +27,15 @@ def test_script_runs_and_passes_the_oracle(tmp_path, script, args, outputs):
     assert any(line.startswith("oracle checks: pass=True") for line in proc.stdout.splitlines())
 
 
-def test_cusp_guide_upp_csv_matches_a_dense_evaluation(tmp_path):
-    """The script samples U_pp on open axes; the file holds the dense grid's bytes."""
+def test_cusp_guide_writes_what_the_cli_writes(tmp_path):
+    """Both files are byte for byte the output of the two CLI commands."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trapnet.__file__))}
-    subprocess.run([sys.executable, str(SCRIPTS / "cusp_guide.py"), "--res", "60",
-                    "--out-dir", str(tmp_path)], capture_output=True, env=env, check=True)
-    fld = trapnet.synthesize(trapnet.catalog("cusp", {"alpha": 1.0}).compile())
-    xs = np.linspace(-0.5, 2.5, 101)
-    ys = np.linspace(-3.0, 3.0, 101)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    upp = fld.pseudopotential(gx, gy, np.zeros_like(gx))
-    rows = ["x,y,value", *(f"{xs[i]!r},{ys[j]!r},{float(upp[i, j])!r}"
-                           for i in range(101) for j in range(101))]
-    assert (tmp_path / "cusp_upp.csv").read_text().split("\n") == [*rows, ""]
+    subprocess.run([sys.executable, str(SCRIPTS / "cusp_guide.py"), "--alpha", "0.7",
+                    "--res", "60", "--out-dir", str(tmp_path / "script")],
+                   capture_output=True, env=env, check=True)
+    common = ["cusp", "--param", "alpha=0.7", "--window=-0.5,2.5,-3.0,3.0"]
+    assert main(["nulllines", *common, "--res", "60", "--out", str(tmp_path / "lines.json")]) == 0
+    assert main(["sample", *common, "--quantity", "upp", "--res", "101", "--format", "csv",
+                 "--out", str(tmp_path / "upp.csv")]) == 0
+    for name, want in (("cusp_nulllines.json", "lines.json"), ("cusp_upp.csv", "upp.csv")):
+        assert (tmp_path / "script" / name).read_bytes() == (tmp_path / want).read_bytes()
