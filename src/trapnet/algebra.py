@@ -13,7 +13,6 @@ tolerance policy belongs to the callers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -33,10 +32,10 @@ __all__ = [
 
 
 class _Powers(dict):
-    """Lazy map n -> ``base ** n``, each power computed once.
+    """Lazy map n -> ``base ** n`` for one call, each power computed once.
 
-    A table serves one call and is never stored: on a grid it holds one
-    array per exponent.
+    ``base ** n`` is the expression a term-by-term loop evaluates, so the
+    bits are the same.  On a grid the table holds one array per exponent.
     """
 
     __slots__ = ("_base",)
@@ -47,18 +46,6 @@ class _Powers(dict):
     def __missing__(self, n):
         value = self[n] = self._base ** n
         return value
-
-
-def _powers(base):
-    """n -> ``base ** n`` for every term, layer and order of one call.
-
-    ``base ** n`` is the expression a term-by-term loop evaluates, so the
-    bits are the same.  An array's powers come from a table; a scalar power
-    costs less than a table lookup, so it is taken each time.
-    """
-    if isinstance(base, np.ndarray):
-        return _Powers(base).__getitem__
-    return functools.partial(pow, base)
 
 
 class Poly2:
@@ -170,7 +157,7 @@ class Poly2:
 
     def eval(self, x, y):
         """Evaluate at a point; accepts scalars or numpy arrays."""
-        return self._evaluate(_powers(x), _powers(y))
+        return self._evaluate(_Powers(x).__getitem__, _Powers(y).__getitem__)
 
     def _evaluate(self, xpow, ypow):
         """Sum of ``c * x**i * y**j`` in sorted term order; ``xpow(i)`` is ``x**i``."""
@@ -296,7 +283,7 @@ class ZSeries:
         return not self._layers
 
     def eval(self, x, y, z):
-        return self._evaluate(_powers(x), _powers(y), z)
+        return self._evaluate(_Powers(x).__getitem__, _Powers(y).__getitem__, z)
 
     def _evaluate(self, xpow, ypow, z):
         """Sum of ``z**n / n! * layer_n(x, y)`` in order of n."""
@@ -378,11 +365,11 @@ class Partials:
     def partials(self, orders, *coords):
         """Value of each requested partial derivative at the given point.
 
-        On arrays each power of x and y is computed once and shared by every
-        order and every layer of a series; the bits are those ``eval`` gives.
+        Each power of x and y is computed once and shared by every order and
+        every layer of a series; the bits are those ``eval`` gives.
         """
         x, y, *z = coords
-        xpow, ypow = _powers(x), _powers(y)
+        xpow, ypow = _Powers(x).__getitem__, _Powers(y).__getitem__
         return [self.derivative(counts)._evaluate(xpow, ypow, *z) for counts in orders]
 
     def derivative(self, counts):

@@ -212,6 +212,14 @@ def _symmetric(indices, values) -> np.ndarray:
     return out
 
 
+def _on_points(values, x, y, z) -> list:
+    """``values`` on arrays of the points' shape: a vanishing derivative is a scalar 0.0."""
+    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray) or isinstance(z, np.ndarray)):
+        return values  # a point: checked first, as np.shape of a float costs microseconds
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z))
+    return [np.broadcast_to(v, shape) for v in values] if shape else values
+
+
 class Field:
     """A harmonic potential plus trap parameters.
 
@@ -243,12 +251,12 @@ class Field:
         return self._engine.partials(((nx, ny, nz),), x, y, z)[0]
 
     def value(self, x, y, z):
-        return self._engine.partials(((0, 0, 0),), x, y, z)[0]
+        """Potential at the points; an array of their broadcast shape on arrays."""
+        return _on_points(self._engine.partials(((0, 0, 0),), x, y, z), x, y, z)[0]
 
     def gradient(self, x, y, z) -> np.ndarray:
-        g = self._engine.partials(_GRADIENT, x, y, z)
-        # on a grid, a derivative that vanishes identically is a scalar 0.0
-        return np.array(np.broadcast_arrays(*g) if np.ndim(x) else g)
+        """Gradient at the points, shape (3,) plus their broadcast shape."""
+        return np.array(_on_points(self._engine.partials(_GRADIENT, x, y, z), x, y, z))
 
     def hessian(self, x, y, z) -> np.ndarray:
         """Symmetric Hessian at a point, shape (3, 3)."""

@@ -6,7 +6,8 @@ with ``Field.gradient`` is evidence rather than tautology.  The plane
 reference P comes from the generator itself.  Each check reduces a central
 second-order star: the value at a point and at its ``+-h`` neighbours along
 each axis (default step 1e-4 in normalized units).  ``run_checks`` takes one
-star per sample and one z-only star on the plane below it.
+star per sample and one z-only star on the plane below it, 10 points per
+sample, and evaluates each kind of star for all samples in one array call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import PlanarJet, validate_window
+from .analysis import MAX_GRID_POINTS, PlanarJet, _norms, validate_window
 from .extension import Field
 
 __all__ = [
@@ -33,6 +34,8 @@ DEFAULT_H = 1e-4
 # floor of the normalizers in check_gradient and check_laplace
 EPS_FLOOR = 1e-12
 DEFAULT_SEED = 0
+# the 10 stencil points of every sample are held at once, like a grid's points
+MAX_SAMPLES = MAX_GRID_POINTS // 10
 # verdict tolerances; the gradient one leaves headroom over the 1e-6 seen on
 # smooth regions: sample points can land arbitrarily close to a null line,
 # where the stencil truncation is large relative to the shrinking gradient
@@ -59,6 +62,8 @@ class VerifyConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
         _validate_step(self.h)
         validate_window(self.window, 3)
 
@@ -86,24 +91,22 @@ def sample_points(window, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     return lo + np.random.default_rng(seed).random((n, 3)) * (hi - lo)
 
 
-_EYE3 = np.eye(3)
-
-
 def _star(value, points, h, axes=(0, 1, 2)):
     """Central-difference star of ``value`` around each row p of ``points``.
 
     Returns the values at p, shape (n,), and at ``p + h*e_a`` and at
-    ``p - h*e_a`` for each axis ``a`` in ``axes``, shape (n, k) each.
+    ``p - h*e_a`` for each axis ``a`` in ``axes``, shape (n, k) each, from one
+    ``value`` call on all 1 + 2k points of every star.
     Raises ValueError if a value is not finite: the field overflows there.
     """
-    steps = h * _EYE3[list(axes)]
+    steps = h * np.eye(3)[list(axes)]
+    p = points[:, None]
+    star = np.concatenate((p, p + steps, p - steps), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warnings
-        star = tuple(np.array([value(*p) for p in q.reshape(-1, 3)], dtype=float)
-                     .reshape(q.shape[:-1])
-                     for q in (points, points[:, None] + steps, points[:, None] - steps))
-    if not all(np.isfinite(v).all() for v in star):
+        values = np.asarray(value(*np.moveaxis(star, -1, 0)), dtype=float)
+    if not np.isfinite(values).all():
         raise ValueError("phi is not finite on the stencil: the window is out of range")
-    return star
+    return (values[:, 0], *np.split(values[:, 1:], 2, axis=1))
 
 
 def _worst(per_point, floor=0.0) -> float:
@@ -114,12 +117,12 @@ def _worst(per_point, floor=0.0) -> float:
 def _gradient_error(fld: Field, points, star, h) -> float:
     _, plus, minus = star
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warnings
-        an = [fld.gradient(*p) for p in points]
-        norms = [np.linalg.norm(g) for g in an]
+        an = fld.gradient(*points.T).T
+        norms = _norms(an)
     if not np.isfinite(norms).all():
         raise ValueError("|grad phi| is not finite at a sample point: the window is out of range")
-    return _worst([(np.abs(d - g) / (n + EPS_FLOOR)).max()
-                   for d, g, n in zip((plus - minus) / (2.0 * h), an, norms)])
+    error = np.abs((plus - minus) / (2.0 * h) - an) / (norms + EPS_FLOOR)[:, None]
+    return _worst(error.max(axis=1))
 
 
 def _laplace_residual(star, h) -> float:
@@ -163,8 +166,7 @@ def check_boundary(fld: Field, generator, points_xy,
     _validate_step(h)
     xy = np.asarray(points_xy, dtype=float).reshape(-1, 2)
     centre, plus, minus = _star(fld.value, np.column_stack((xy, np.zeros(len(xy)))), h, axes=(2,))
-    jet = PlanarJet(generator)
-    slope_error = (plus[:, 0] - minus[:, 0]) / (2.0 * h) - [jet.value(x, y) for x, y in xy]
+    slope_error = (plus[:, 0] - minus[:, 0]) / (2.0 * h) - PlanarJet(generator).value(*xy.T)
     return _worst(np.abs(centre)), _worst(np.abs(slope_error))
 
 

@@ -11,6 +11,7 @@ import pytest
 import trapnet
 from trapnet import cli
 from trapnet.cli import main
+from trapnet.verify import MAX_SAMPLES
 
 ROUND_SPEC = {
     "kind": "fourier",
@@ -417,6 +418,15 @@ def test_verify_refuses_a_run_that_checks_nothing(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_verify_refuses_more_samples_than_the_cap(capsys):
+    # refused before the sample points are drawn: no memory error traceback
+    assert main(["verify", "cusp", "--samples", "1000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"samples must be at most {MAX_SAMPLES}" in captured.err
 
 
 def test_verify_determinism(tmp_path):

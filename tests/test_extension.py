@@ -375,3 +375,39 @@ def test_pseudopotential_takes_each_power_of_x_and_y_once():
     # each of the three gradient orders weights its layers by z**n / n!
     assert sorted(z.powers) == list(range(25))
     assert max(z.powers.values()) <= 3
+
+
+@pytest.mark.parametrize("gen", [parse_polynomial("0"), parse_fourier("0", (2.0, 2.0))],
+                         ids=["polynomial", "fourier"])
+def test_zero_field_values_have_the_points_shape(gen):
+    # every derivative of the zero field vanishes identically, a scalar 0.0
+    fld = synthesize(gen)
+    xs = np.linspace(-1.0, 1.0, 5)
+    assert fld.value(0.1, 0.2, 0.3) == 0.0 and np.ndim(fld.value(0.1, 0.2, 0.3)) == 0
+    np.testing.assert_array_equal(fld.gradient(0.1, 0.2, 0.3), np.zeros(3))
+    np.testing.assert_array_equal(fld.value(xs, xs, xs), np.zeros(5))
+    np.testing.assert_array_equal(fld.gradient(xs, xs, xs), np.zeros((3, 5)))
+    open_axes = np.meshgrid(xs, xs[:4], xs[:3], indexing="ij", sparse=True)
+    np.testing.assert_array_equal(fld.value(*open_axes), np.zeros((5, 4, 3)))
+    np.testing.assert_array_equal(fld.gradient(*open_axes), np.zeros((3, 5, 4, 3)))
+
+
+class CountedFloat(float):
+    """Scalar coordinate that counts each ``base ** n`` taken of it."""
+
+    def __pow__(self, n):
+        self.powers[n] += 1
+        return float(self) ** n
+
+
+def test_scalar_partials_take_each_power_of_x_and_y_once():
+    fld = synthesize(parse_polynomial("(0.7*x^2 + 1.1*x*y + 0.9*y^2 + 1)^4"))
+    orders = [(i, j, k) for i in range(3) for j in range(3) for k in range(2)]
+    x, y = CountedFloat(0.3), CountedFloat(-0.6)
+    for c in (x, y):
+        c.powers = collections.Counter()
+    values = fld.partials(orders, x, y, 0.2)
+    assert values == fld.partials(orders, 0.3, -0.6, 0.2)
+    for c in (x, y):
+        assert sorted(c.powers) == list(range(9))
+        assert max(c.powers.values()) == 1

@@ -7,6 +7,7 @@ from conftest import random_poly
 from trapnet import (Field, Poly2, VerifyConfig, X, Y, ZSeries, catalog, cauchy_extend,
                      check_boundary, check_gradient, check_laplace, odd_extend, run_checks,
                      sample_points, synthesize, verify)
+from trapnet.analysis import MAX_GRID_POINTS
 
 CUSP = Y**2 - X**3
 BOX2 = (-2.0, 2.0, -2.0, 2.0, -2.0, 2.0)
@@ -186,28 +187,36 @@ def test_run_checks_catches_planted_fault(make_field, metric, tol):
 
 
 class _Counting(Field):
-    """Counts the oracle's calls into the field."""
+    """Records the points of each of the oracle's calls into the field."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.calls = {"value": 0, "gradient": 0}
+        self.points = {"value": [], "gradient": []}
+
+    def _record(self, name, x, y, z):
+        self.points[name].append(np.column_stack([np.ravel(c) for c in (x, y, z)]))
 
     def value(self, x, y, z):
-        self.calls["value"] += 1
+        self._record("value", x, y, z)
         return super().value(x, y, z)
 
     def gradient(self, x, y, z):
-        self.calls["gradient"] += 1
+        self._record("gradient", x, y, z)
         return super().gradient(x, y, z)
 
 
 @pytest.mark.parametrize("name", ["cusp", "round"])
 def test_run_checks_evaluates_each_stencil_point_once(name):
-    # one 7-point star per sample and one 3-point z-star on the plane below it
+    # one 7-point star per sample and one 3-point z-star on the plane below
+    # it, each kind for all samples in one value call, and one gradient call
     gen = catalog(name).compile()
     fld = _Counting(synthesize(gen).potential)
     run_checks(fld, gen, VerifyConfig(samples=25))
-    assert fld.calls == {"value": 10 * 25, "gradient": 25}
+    assert {name: len(calls) for name, calls in fld.points.items()} == {"value": 2, "gradient": 1}
+    values, gradients = (np.concatenate(fld.points[k]) for k in ("value", "gradient"))
+    assert len(values) == 10 * 25
+    assert len(np.unique(values, axis=0)) == len(values)
+    np.testing.assert_array_equal(gradients, sample_points(VerifyConfig().window, 25))
 
 
 def test_checks_of_empty_point_sets_are_zero():
@@ -231,3 +240,11 @@ def test_overflowing_gradient_norm_is_refused_without_warnings(check):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"\|grad phi\| is not finite"):
             check(synthesize(gen), gen, pts)
+
+
+def test_sample_count_is_capped_at_the_grid_limit():
+    # 10 stencil points per sample stay within the largest grid
+    assert 10 * verify.MAX_SAMPLES <= MAX_GRID_POINTS
+    VerifyConfig(samples=verify.MAX_SAMPLES)
+    with pytest.raises(ValueError, match=f"samples must be at most {verify.MAX_SAMPLES}"):
+        VerifyConfig(samples=verify.MAX_SAMPLES + 1)
