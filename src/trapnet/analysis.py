@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Partials, Poly2, SymMat2
 from .extension import Field, synthesize
-from .generators import FourierGen
+from .generators import FourierGen, _phase
 
 __all__ = [
     "AnalysisError",
@@ -364,7 +364,7 @@ def _batch_partials(jet: PlanarJet, orders, x, y) -> list[np.ndarray]:
     else:
         values = [0.0] * len(orders)
         for kx, ky, amp in engine.waves:
-            wave = np.exp(1j * (kx * x + ky * y))
+            wave = np.exp(1j * _phase(kx, ky, x, y))
             for k, (nx, ny) in enumerate(orders):
                 factor = (1j * kx) ** nx * (1j * ky) ** ny
                 if factor != 0:

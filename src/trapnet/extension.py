@@ -271,9 +271,9 @@ class Field:
     # ------------------------------------------------------------------
 
     def pseudopotential(self, x, y, z):
-        """kappa * |grad(phi)|**2; accepts scalars or numpy arrays."""
+        """kappa * |grad(phi)|**2; an array of the points' broadcast shape on arrays."""
         gx, gy, gz = self._engine.partials(_GRADIENT, x, y, z)
-        return self.kappa * (gx * gx + gy * gy + gz * gz)
+        return _on_points([self.kappa * (gx * gx + gy * gy + gz * gz)], x, y, z)[0]
 
     def pseudopotential_gradient(self, x, y, z) -> np.ndarray:
         d = self._engine.partials(_GRADIENT + _HESSIAN, x, y, z)

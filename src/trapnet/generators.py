@@ -499,14 +499,33 @@ class FourierGen:
         return f"FourierGen(periods={self._periods}, modes={self._modes!r})"
 
 
+def _phase(kx: float, ky: float, x, y):
+    """``kx*x + ky*y``, computed over only the axes the wave varies along.
+
+    An axial wave takes ``kx*x`` or ``ky*y``: at a finite point the term it
+    drops is +-0.0, which can change only the sign of a zero phase, and
+    ``exp(1j*(+-0.0))`` is the same 1+0j.  A scalar coordinate beside an array
+    keeps the full form, so that the wave stays an array: numpy's array complex
+    product can differ in the last bit from its scalar one.
+    """
+    if ky == 0.0 and (getattr(x, "ndim", 0) or not getattr(y, "ndim", 0)):
+        return kx * x
+    if kx == 0.0 and (getattr(y, "ndim", 0) or not getattr(x, "ndim", 0)):
+        return ky * y
+    return kx * x + ky * y
+
+
 def mode_sum(waves, orders, x, y, kernel=None) -> list:
     """Real part of the sum of amp * (i kx)**nx * (i ky)**ny * exp(i (kx x + ky y))
     over ``waves`` of (kx, ky, amp), one per order (nx, ny, ...).
 
-    A sum is a float at a scalar point, and 0.0 where no wave contributes.
+    A sum is a float at a scalar point, and 0.0 where no wave contributes; on
+    arrays it takes the broadcast shape of the axes its waves vary along.
     ``kernel(kx, ky, order)``, when given, multiplies each term between its
     coefficient and its wave.  Each wave is computed once for all orders.
-    Every order is checked by :func:`~trapnet.algebra.check_order` first.
+    Each term's real part is added into a float sum, which is the real part of
+    the complex sum bit for bit.  Every order is checked by
+    :func:`~trapnet.algebra.check_order` first.
     """
     for order in orders:
         check_order(order)
@@ -520,12 +539,19 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
         if not coeffs:
             continue
         # one reference per order: the last order holds the only one, so
-        # numpy reuses the wave's buffer for its product and frees it
-        wave = [np.exp(1j * (kx * x + ky * y))] * len(coeffs)
+        # numpy reuses the wave's buffer for its product
+        wave = [np.exp(1j * _phase(kx, ky, x, y))] * len(coeffs)
         for i, coeff, order in coeffs:
-            accs[i] = accs[i] + (coeff * wave.pop() if kernel is None
-                                 else coeff * kernel(kx, ky, order) * wave.pop())
-    return [float(r) if np.ndim(r) == 0 else r for r in map(np.real, accs)]
+            term = (coeff * wave.pop() if kernel is None
+                    else coeff * kernel(kx, ky, order) * wave.pop()).real
+            # an array sum adds in place: the same additions, without a fresh
+            # grid and its fresh pages per term; a term that broadens the sum
+            # is added into a new array
+            try:
+                accs[i] += term
+            except ValueError:
+                accs[i] = accs[i] + term
+    return [float(r) if np.ndim(r) == 0 else r for r in accs]
 
 
 def parse_fourier(expr: str, periods: tuple[float, float],

@@ -384,12 +384,16 @@ def test_zero_field_values_have_the_points_shape(gen):
     fld = synthesize(gen)
     xs = np.linspace(-1.0, 1.0, 5)
     assert fld.value(0.1, 0.2, 0.3) == 0.0 and np.ndim(fld.value(0.1, 0.2, 0.3)) == 0
-    np.testing.assert_array_equal(fld.gradient(0.1, 0.2, 0.3), np.zeros(3))
-    np.testing.assert_array_equal(fld.value(xs, xs, xs), np.zeros(5))
-    np.testing.assert_array_equal(fld.gradient(xs, xs, xs), np.zeros((3, 5)))
+    np.testing.assert_array_equal(fld.gradient(0.1, 0.2, 0.3), np.zeros(3), strict=True)
+    assert fld.pseudopotential(0.1, 0.2, 0.3) == 0.0
+    np.testing.assert_array_equal(fld.value(xs, xs, xs), np.zeros(5), strict=True)
+    np.testing.assert_array_equal(fld.gradient(xs, xs, xs), np.zeros((3, 5)), strict=True)
+    np.testing.assert_array_equal(fld.pseudopotential(xs, xs, xs), np.zeros(5), strict=True)
     open_axes = np.meshgrid(xs, xs[:4], xs[:3], indexing="ij", sparse=True)
-    np.testing.assert_array_equal(fld.value(*open_axes), np.zeros((5, 4, 3)))
-    np.testing.assert_array_equal(fld.gradient(*open_axes), np.zeros((3, 5, 4, 3)))
+    np.testing.assert_array_equal(fld.value(*open_axes), np.zeros((5, 4, 3)), strict=True)
+    np.testing.assert_array_equal(fld.gradient(*open_axes), np.zeros((3, 5, 4, 3)), strict=True)
+    np.testing.assert_array_equal(fld.pseudopotential(*open_axes), np.zeros((5, 4, 3)),
+                                  strict=True)
 
 
 class CountedFloat(float):
