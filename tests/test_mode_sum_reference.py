@@ -84,7 +84,7 @@ def _assert_same_bits(got, want, coords):
     for g, w in zip(got, want):
         assert type(g) is type(w)
         assert np.broadcast_shapes(np.shape(g), shape) == shape
-        assert (np.broadcast_to(g, shape).tobytes() == np.broadcast_to(w, shape).tobytes())
+        assert np.broadcast_to(g, shape).tobytes() == np.broadcast_to(w, shape).tobytes()
 
 
 def _point_sets():
