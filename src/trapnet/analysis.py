@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Partials, Poly2, SymMat2
-from .extension import Field, synthesize
+from .extension import Field, _on_points, synthesize
 from .generators import FourierGen, _phase
 
 __all__ = [
@@ -147,7 +147,8 @@ class PlanarJet:
         return self._engine.partials(((0, 0),), x, y)[0]
 
     def grad(self, x, y) -> np.ndarray:
-        return np.array(self._engine.partials(((1, 0), (0, 1)), x, y))
+        """Gradient at the points, shape (2,) plus their broadcast shape."""
+        return np.array(_on_points(self._engine.partials(((1, 0), (0, 1)), x, y), x, y, 0.0))
 
 
 def validate_window(window, axes: int) -> tuple[float, ...]:

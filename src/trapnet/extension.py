@@ -129,12 +129,17 @@ def _sinh_kernel(k: float, z, order: int):
     Even orders give k**(order-1) * sinh(k z), odd orders
     k**(order-1) * cosh(k z).
     """
-    kz = k * np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float)
+    kz = k * z
     if order % 2 == 1:
         return k ** (order - 1) * np.cosh(kz)
     if order == 0:
-        series = np.asarray(z, dtype=float) + k * k * np.asarray(z, dtype=float) ** 3 / 6.0
-        return np.where(np.abs(kz) < _SMALL_KZ, series, np.sinh(kz) / k)
+        out = np.asarray(np.sinh(kz) / k)
+        # the series only where it is used: z**3 is a libm pow per element
+        small = np.abs(kz) < _SMALL_KZ
+        zs = z[small]
+        out[small] = zs + k * k * zs ** 3 / 6.0
+        return out
     return k ** (order - 1) * np.sinh(kz)
 
 

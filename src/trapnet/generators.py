@@ -315,7 +315,7 @@ class _Waves(list):
 
     Real input expressions always give conjugate-symmetric lists, so the
     compiled generator is real.  Products keep every pair of waves; equal
-    wavevectors are merged only by :class:`FourierGen`.
+    wavevectors are merged only when :func:`parse_fourier` maps them to modes.
     """
 
     @classmethod
@@ -561,21 +561,30 @@ def parse_fourier(expr: str, periods: tuple[float, float],
     Products and powers of cos/sin are expanded into plane waves; every
     resulting wavevector must sit on the integer lattice (2*pi*m/Lx,
     2*pi*n/Ly) within a relative tolerance of 1e-9, otherwise the mode is
-    rejected as incommensurate with the declared periods.
+    rejected as incommensurate with the declared periods.  Each distinct
+    wavevector is checked once, and the amplitudes of waves on one mode are
+    summed in wave order, the sums :class:`FourierGen` would form.
     """
     waves = _Parser(expr, _Waves, params or {}).parse()
     lx, ly = float(periods[0]), float(periods[1])
-    modes = []
+    indices: dict[tuple[float, float], tuple[int, int]] = {}
+    sums: dict[tuple[int, int], complex] = {}
     for a, b, amp in waves:
-        m = a * lx / (2 * math.pi)
-        n = b * ly / (2 * math.pi)
-        if not all(math.isfinite(v) and abs(v - round(v)) <= COMMENSURATE_RTOL * max(1.0, abs(v))
-                   for v in (m, n)):
-            raise GeneratorError(
-                f"wavevector ({a:g}, {b:g}) is incommensurate with periods "
-                f"({lx:g}, {ly:g}): mode indices ({m:g}, {n:g}) are not integers")
-        modes.append(FourierMode(round(m), round(n), amp))
-    return FourierGen((lx, ly), modes)
+        key = indices.get((a, b))
+        if key is None:
+            m = a * lx / (2 * math.pi)
+            n = b * ly / (2 * math.pi)
+            if not all(math.isfinite(v)
+                       and abs(v - round(v)) <= COMMENSURATE_RTOL * max(1.0, abs(v))
+                       for v in (m, n)):
+                raise GeneratorError(
+                    f"wavevector ({a:g}, {b:g}) is incommensurate with periods "
+                    f"({lx:g}, {ly:g}): mode indices ({m:g}, {n:g}) are not integers")
+            key = indices[(a, b)] = (round(m), round(n))
+        # FourierGen's own sum, in wave order; from +0.0 it is never -0.0,
+        # so FourierGen adding it to 0j leaves every bit
+        sums[key] = sums.get(key, 0.0 + 0.0j) + complex(amp)
+    return FourierGen((lx, ly), [FourierMode(m, n, amp) for (m, n), amp in sums.items()])
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,17 @@ the field overflows), the 1-D point arrays of the oracle and of Newton,
 scalar points, and scalars beside arrays: there an axial wave along the
 scalar's axis must keep the full phase, as numpy's scalar complex product
 differs from its array product in the last bit for complex amplitudes.
+
+``reference_sinh_kernel`` is ``extension._sinh_kernel`` as it was: the
+order-0 series ``z + k*k*z**3/6`` over the whole array, picked by
+``np.where``.  The current kernel computes the series only where
+``|k*z| < _SMALL_KZ``; both must give the same type, shape and bits, and so
+must the fields built on them.
 """
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -104,7 +111,8 @@ def _point_sets():
     sets.append(("numpy scalars", np.float64(0.4), np.float64(-0.2), np.float64(0.1)))
     xs = np.linspace(-1.0, 1.0, 33)
     sets += [("array and scalars", xs, 0.4321, 0.25), ("scalar and arrays", 0.6789, xs, xs[::-1]),
-             ("0-d array and array", np.asarray(-0.5309), xs, 0.1)]
+             ("0-d array and array", np.asarray(-0.5309), xs, 0.1),
+             ("near the plane", xs, xs[::-1], np.linspace(-5e-5, 5e-5, 33))]
     return sets
 
 
@@ -135,6 +143,71 @@ def test_far_window_checks_non_finite_values():
         d, upp = fld.partials(ORDERS_3D, x, y, z), fld.pseudopotential(x, y, z)
     assert all(np.isfinite(v).any() and np.isnan(v).any() for v in d)
     assert np.isinf(upp).any()
+
+
+# ----------------------------------------------------------------------
+# the sinh kernel against its whole-array series
+# ----------------------------------------------------------------------
+
+def reference_sinh_kernel(k: float, z, order: int):
+    kz = k * np.asarray(z, dtype=float)
+    if order % 2 == 1:
+        return k ** (order - 1) * np.cosh(kz)
+    if order == 0:
+        series = np.asarray(z, dtype=float) + k * k * np.asarray(z, dtype=float) ** 3 / 6.0
+        return np.where(np.abs(kz) < extension._SMALL_KZ, series, np.sinh(kz) / k)
+    return k ** (order - 1) * np.sinh(kz)
+
+
+@pytest.fixture
+def use_reference_kernel(monkeypatch):
+    """Call to route every sinh kernel through ``reference_sinh_kernel``."""
+    def patch():
+        monkeypatch.setattr(extension, "_sinh_kernel", reference_sinh_kernel)
+    return patch
+
+
+# |k*z| < 1e-4 at 1e-7, 3e-6 and 1e-5 for every k below, at 3e-5 for k = pi only
+EDGE_ZS = np.array([-0.0, 0.0, 1e-7, -3e-6, 1e-5, 3e-5, 0.3, -0.7,
+                    np.nan, np.inf, -np.inf, 300.0, -299.5])
+WIDE_ZS = np.linspace(0.1, 1.5, 6)  # no |k*z| below 1e-4
+KERNEL_INPUTS = [
+    ("1-D with small", EDGE_ZS),
+    ("1-D without small", WIDE_ZS),
+    ("dense with small", np.meshgrid(WIDE_ZS[:3], WIDE_ZS[:2], EDGE_ZS, indexing="ij")[2]),
+    ("dense without small", np.meshgrid(WIDE_ZS[:3], WIDE_ZS[:2], WIDE_ZS, indexing="ij")[2]),
+    ("open with small", EDGE_ZS[None, None, :]),
+    ("open without small", WIDE_ZS[None, None, :]),
+    *((f"float {z!r}", float(z)) for z in EDGE_ZS),
+    ("numpy scalar small", np.float64(2e-5)),
+    ("numpy scalar", np.float64(0.4)),
+    ("0-d small", np.asarray(-2e-5)),
+    ("0-d", np.asarray(0.4)),
+    ("0-d nan", np.asarray(np.nan)),
+]
+
+
+@pytest.mark.parametrize("label, z", KERNEL_INPUTS, ids=[s[0] for s in KERNEL_INPUTS])
+@pytest.mark.parametrize("k", [math.pi, math.pi * math.sqrt(2.0), 2.0 * math.pi, 3.0 * math.pi])
+def test_sinh_kernel_matches_the_reference(k, label, z):
+    for order in range(4):
+        with np.errstate(all="ignore"):
+            got, want = extension._sinh_kernel(k, z, order), reference_sinh_kernel(k, z, order)
+        assert type(got) is type(want), order
+        assert np.shape(got) == np.shape(want) and got.dtype == want.dtype, order
+        assert got.tobytes() == want.tobytes(), order
+
+
+@pytest.mark.parametrize("label, x, y, z", POINT_SETS, ids=[s[0] for s in POINT_SETS])
+@pytest.mark.parametrize("name", GENERATORS)
+def test_fourier_fields_match_the_reference_kernel(use_reference_kernel, name, label, x, y, z):
+    fld = synthesize(GENERATORS[name])
+    with np.errstate(all="ignore"):
+        got = fld.partials(ORDERS_3D, x, y, z), [fld.pseudopotential(x, y, z)]
+        use_reference_kernel()
+        want = fld.partials(ORDERS_3D, x, y, z), [fld.pseudopotential(x, y, z)]
+    _assert_same_bits(got[0], want[0], (x, y, z))
+    _assert_same_bits(got[1], want[1], (x, y, z))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ inf/nan positions included.
 import numpy as np
 import pytest
 
-from trapnet import PlanarJet, catalog, catalog_names, null_lines, synthesize
+from trapnet import (PlanarJet, catalog, catalog_names, null_lines, parse_fourier,
+                     parse_polynomial, synthesize)
 from trapnet.analysis import grid_axes
 
 GENERATORS = catalog_names()
@@ -70,6 +71,37 @@ def test_planar_value_on_open_axes_matches_the_dense_grid(name, window, counts):
     (dx, dy, _), (ox, oy, _) = _grids(window, counts)
     with np.errstate(all="ignore"):
         assert _bits(jet.value(ox, oy), counts) == _bits(jet.value(dx, dy), counts)
+
+
+AXIAL_SUM = parse_fourier("cos(pi*x) + cos(pi*y)", (2.0, 2.0))
+
+
+@pytest.mark.parametrize("window, counts", WINDOWS_2D)
+@pytest.mark.parametrize("name", [*GENERATORS, "cos(pi*x) + cos(pi*y)"])
+def test_planar_gradient_on_open_axes_matches_the_dense_grid(name, window, counts):
+    # the axial sum's partials are (n, 1) and (1, m) on open axes
+    jet = PlanarJet(AXIAL_SUM if name == "cos(pi*x) + cos(pi*y)" else catalog(name).compile())
+    (dx, dy, _), (ox, oy, _) = _grids(window, counts)
+    with np.errstate(all="ignore"):
+        got, want = jet.grad(ox, oy), jet.grad(dx, dy)
+    assert got.shape == want.shape == (2, *counts)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_planar_gradient_on_a_1d_array_has_the_points_shape():
+    # d/dy of x^2 vanishes identically and comes back as a scalar 0.0
+    xs = np.linspace(-1.0, 1.0, 5)
+    grad = PlanarJet(parse_polynomial("x^2")).grad(xs, xs)
+    assert grad.shape == (2, 5)
+    assert grad.tobytes() == np.array([2.0 * xs, np.zeros(5)]).tobytes()
+
+
+@pytest.mark.parametrize("point", [(0.3, -0.7), (-0.0, 0.0), (np.float64(0.4), np.float64(-0.2))])
+def test_planar_gradient_at_a_point_is_the_partials(point):
+    for jet in (PlanarJet(parse_polynomial("x^2")), PlanarJet(AXIAL_SUM)):
+        grad = jet.grad(*point)
+        assert type(grad) is np.ndarray and grad.shape == (2,)
+        assert grad.tobytes() == np.array(jet.partials(((1, 0), (0, 1)), *point)).tobytes()
 
 
 def test_far_windows_mix_finite_and_non_finite_values():
