@@ -352,8 +352,10 @@ def _batch_partials(jet: PlanarJet, orders, x, y) -> list[np.ndarray]:
     hold the C ``pow`` of each element, as a point evaluation takes it
     (``np.float_power``); numpy's array power ``a ** n`` may differ from that
     by an ulp.  Mode sums keep only the real part of each complex term,
-    ``c.real*w.real - c.imag*w.imag``: that is a scalar complex product's,
-    where numpy's array product may fuse the multiply and the subtraction.
+    ``c.real*cos(phase) - c.imag*sin(phase)``: that is a scalar complex
+    product's, where numpy's array product may fuse the multiply and the
+    subtraction, and ``np.cos`` and ``np.sin`` of a finite phase are the parts
+    of ``np.exp(1j*phase)`` bit for bit, but for the sign of a zero sine.
     """
     engine = jet._engine
     if isinstance(engine, Partials):
@@ -365,12 +367,13 @@ def _batch_partials(jet: PlanarJet, orders, x, y) -> list[np.ndarray]:
     else:
         values = [0.0] * len(orders)
         for kx, ky, amp in engine.waves:
-            wave = np.exp(1j * _phase(kx, ky, x, y))
+            phase = _phase(kx, ky, x, y)
+            cos, sin = np.cos(phase), np.sin(phase)
             for k, (nx, ny) in enumerate(orders):
                 factor = (1j * kx) ** nx * (1j * ky) ** ny
                 if factor != 0:
                     c = amp * factor
-                    values[k] = values[k] + (c.real * wave.real - c.imag * wave.imag)
+                    values[k] = values[k] + (c.real * cos - c.imag * sin)
     return [np.broadcast_to(v, np.shape(x)) for v in values]
 
 

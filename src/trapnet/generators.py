@@ -62,6 +62,9 @@ MAX_NESTING = 100
 # are expanded term by term, so their cost grows with these counts
 MAX_EXPONENT = 64
 MAX_WAVES = 2**18
+# highest degree a polynomial product or power may reach: its expansion
+# takes about 0.1 s at degree 64, 1 s at 128 and 11 s at 192
+MAX_DEGREE = 128
 
 
 class GeneratorError(ValueError):
@@ -192,6 +195,11 @@ class _Parser:
 
     def product(self, op: _Token, lhs, rhs):
         """``lhs * rhs``, or ``lhs ** rhs`` after a caret."""
+        if isinstance(lhs, Poly2):  # refused before it is expanded
+            degree = lhs.degree * rhs if op.kind == "^" else lhs.degree + rhs.degree
+            if degree > MAX_DEGREE:
+                raise ParseError(f"the result has degree {degree}, more than the limit "
+                                 f"of {MAX_DEGREE}", op.pos)
         try:
             return lhs ** rhs if op.kind == "^" else lhs * rhs
         except _Refused as exc:
@@ -522,10 +530,23 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     A sum is a float at a scalar point, and 0.0 where no wave contributes; on
     arrays it takes the broadcast shape of the axes its waves vary along.
     ``kernel(kx, ky, order)``, when given, multiplies each term between its
-    coefficient and its wave.  Each wave is computed once for all orders.
-    Each term's real part is added into a float sum, which is the real part of
-    the complex sum bit for bit.  Every order is checked by
+    coefficient c and its wave; it may depend on ``order[2:]`` only, and is
+    called once per wave and distinct ``order[2:]``.  Each term's real part is
+    added into a float sum from +0.0, which is the real part of the complex
+    sum bit for bit.  Every order is checked by
     :func:`~trapnet.algebra.check_order` first.
+
+    A term is formed in real arithmetic where that gives the same bits, and
+    each of ``cos(phase)``, ``sin(phase)`` and ``exp(1j*phase)`` is computed at
+    most once per wave, only if a term needs it.  For a real c the term is
+    ``(c.real * K) * cos(phase)``, for an imaginary c ``(-c.imag * K) *
+    sin(phase)``.  At a finite phase ``np.exp(1j*phase)`` has ``np.cos`` and
+    ``np.sin`` of it as its parts, and with one part of c zero numpy's complex
+    product rounds its real part once, as the real form does; a zero term may
+    differ in its sign only, which a sum from +0.0 drops.  Two cases keep
+    ``(c * K * exp(1j*phase)).real``: a general c, where numpy's array product
+    may fuse its multiply and subtraction, and a c or kernel that is not
+    finite everywhere, where ``0 * inf`` makes the complex product nan.
     """
     for order in orders:
         check_order(order)
@@ -538,12 +559,25 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
                 coeffs.append((i, amp * factor, order))
         if not coeffs:
             continue
-        # one reference per order: the last order holds the only one, so
-        # numpy reuses the wave's buffer for its product
-        wave = [np.exp(1j * _phase(kx, ky, x, y))] * len(coeffs)
-        for i, coeff, order in coeffs:
-            term = (coeff * wave.pop() if kernel is None
-                    else coeff * kernel(kx, ky, order) * wave.pop()).real
+        phase = _phase(kx, ky, x, y)
+        parts, kernels = {}, {}  # cos, sin or exp of the phase; kernel by order[2:]
+        for i, c, order in coeffs:
+            k, finite = 1.0, True
+            if kernel is not None:
+                if order[2:] not in kernels:
+                    k = kernel(kx, ky, order)
+                    kernels[order[2:]] = k, bool(np.isfinite(k).all())
+                k, finite = kernels[order[2:]]
+            if finite and cmath.isfinite(c) and (c.imag == 0 or c.real == 0):
+                f, scale = (np.cos, c.real) if c.imag == 0 else (np.sin, -c.imag)
+                if f not in parts:
+                    parts[f] = f(phase)
+                term = (scale * k) * parts[f]
+            else:
+                if np.exp not in parts:
+                    parts[np.exp] = np.exp(1j * phase)
+                term = (c * parts[np.exp] if kernel is None
+                        else c * k * parts[np.exp]).real
             # an array sum adds in place: the same additions, without a fresh
             # grid and its fresh pages per term; a term that broadens the sum
             # is added into a new array

@@ -350,6 +350,7 @@ def test_grid_past_the_cap_exit_code(capsys, argv):
 @pytest.mark.parametrize("kind, expr, message", [
     ("polynomial", "x^65", "exponent '65' exceeds the limit of 64"),
     ("fourier", "(cos(pi*x) + cos(pi*y))^10", "more than the limit of 262144"),
+    ("polynomial", "x^64*y^64*x", "degree 129, more than the limit of 128"),
 ])
 def test_exponent_and_wave_caps_exit_code(tmp_path, capsys, kind, expr, message):
     spec = tmp_path / "spec.json"

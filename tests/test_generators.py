@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import polys
 from trapnet import (FourierGen, GeneratorError, GeneratorSpec, ParseError, Poly2, catalog,
                      catalog_names, load_spec, parse_fourier, parse_polynomial)
 from trapnet import generators
-from trapnet.generators import MAX_EXPONENT, MAX_NESTING
+from trapnet.generators import MAX_DEGREE, MAX_EXPONENT, MAX_NESTING
 
 ROUND_EXPR = "cos(pi*x) + cos(pi*y) + c*((cos(pi*x) - cos(pi*y))^2 - 4)"
 
@@ -104,7 +105,11 @@ def test_long_flat_chains_compile():
     # nesting: it compiles however long it is
     n = 3000
     assert parse_polynomial("+".join(["x"] * n)) == Poly2({(1, 0): float(n)})
-    assert parse_polynomial("*".join(["x"] * n)) == Poly2({(n, 0): 1.0})
+    factors = ["x"] * (MAX_DEGREE // 2) + ["y"] * (MAX_DEGREE // 2) + ["1"] * (n - MAX_DEGREE)
+    assert parse_polynomial("*".join(factors)) == Poly2({(64, 64): 1.0})
+    # a product chain is limited by its degree only, not by its length
+    with pytest.raises(ParseError, match="degree 129, more than the limit of 128"):
+        parse_polynomial("*".join(["x"] * n))
     chain = "cos(pi*x" + "+0*y" * n + ")"
     assert parse_fourier(chain, (2.0, 2.0)) == parse_fourier("cos(pi*x)", (2.0, 2.0))
     waves = "+".join(["cos(pi*x)"] * n)
@@ -140,6 +145,27 @@ def test_parse_wave_cap_refuses_before_expanding():
     with pytest.raises(ParseError, match="1048576 plane waves") as err:
         parse_fourier(expr, (2.0, 2.0))
     assert err.value.pos == expr.index("^")
+
+
+def test_parse_degree_cap():
+    assert MAX_DEGREE == 128
+    assert parse_polynomial("x^64*y^64").degree == MAX_DEGREE
+    assert parse_polynomial("(x*y + 1)^64").degree == MAX_DEGREE
+    assert parse_polynomial("0*x^64*x^64*x").is_zero()
+    for expr, pos in [("x^64*y^64*x", 9), ("x*x^64*y^64", 6), ("(x^2*y + 1)^43", 11)]:
+        with pytest.raises(ParseError, match="more than the limit of 128") as err:
+            parse_polynomial(expr)
+        assert err.value.pos == pos, expr
+
+
+def test_parse_degree_cap_refuses_before_expanding():
+    # expanded, this power of a degree-64 polynomial takes about 6 s
+    expr = "((0.3*x + 0.7*y + 1)^64)^3"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="degree 192, more than the limit of 128") as err:
+        parse_polynomial(expr)
+    assert time.perf_counter() - start < 2.0
+    assert err.value.pos == expr.rindex("^")
 
 
 @pytest.mark.parametrize("expr, pos", [
