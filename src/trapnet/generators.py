@@ -511,8 +511,9 @@ def _phase(kx: float, ky: float, x, y):
     """``kx*x + ky*y``, computed over only the axes the wave varies along.
 
     An axial wave takes ``kx*x`` or ``ky*y``: at a finite point the term it
-    drops is +-0.0, which can change only the sign of a zero phase, and
-    ``exp(1j*(+-0.0))`` is the same 1+0j.  A scalar coordinate beside an array
+    drops is +-0.0, which can change only the sign of a zero phase:
+    ``exp(1j*(+-0.0))`` is the same 1+0j, and ``sin(+-0.0)`` a zero term,
+    whose sign a sum from +0.0 drops.  A scalar coordinate beside an array
     keeps the full form, so that the wave stays an array: numpy's array complex
     product can differ in the last bit from its scalar one.
     """
@@ -562,12 +563,10 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
         phase = _phase(kx, ky, x, y)
         parts, kernels = {}, {}  # cos, sin or exp of the phase; kernel by order[2:]
         for i, c, order in coeffs:
-            k, finite = 1.0, True
-            if kernel is not None:
-                if order[2:] not in kernels:
-                    k = kernel(kx, ky, order)
-                    kernels[order[2:]] = k, bool(np.isfinite(k).all())
-                k, finite = kernels[order[2:]]
+            if kernel is not None and order[2:] not in kernels:
+                k = kernel(kx, ky, order)
+                kernels[order[2:]] = k, bool(np.isfinite(k).all())
+            k, finite = kernels.get(order[2:], (1.0, True))
             if finite and cmath.isfinite(c) and (c.imag == 0 or c.real == 0):
                 f, scale = (np.cos, c.real) if c.imag == 0 else (np.sin, -c.imag)
                 if f not in parts:

@@ -49,6 +49,8 @@ EXPRESSIONS = [
     "cos(pi*x) + 0.7*sin(pi*x) + 0.3*cos(pi*y) - 1.3*sin(pi*y)",
     "cos(pi*x)",
     "sin(pi*y)",
+    # phase-shifted waves: general complex coefficients at every order
+    "cos(pi*x + 0.3) - 0.4*sin(pi*(x + y) - 1.1)",
 ]
 GENERATORS = {f"round c={c}": catalog("round", {"c": c}).compile() for c in (0.2, 0.25, 0.37)}
 GENERATORS.update({expr: parse_fourier(expr, PERIODS) for expr in EXPRESSIONS})
@@ -143,6 +145,34 @@ def test_far_window_checks_non_finite_values():
         d, upp = fld.partials(ORDERS_3D, x, y, z), fld.pseudopotential(x, y, z)
     assert all(np.isfinite(v).any() and np.isnan(v).any() for v in d)
     assert np.isinf(upp).any()
+
+
+def test_real_terms_rest_on_these_identities():
+    """``mode_sum`` forms a term with a real or imaginary coefficient c as
+    ``(c.real*K)*cos(p)`` or ``(-c.imag*K)*sin(p)``, in place of
+    ``(c*K*exp(1j*p)).real``.  That keeps the bits only while numpy's ``cos``
+    and ``sin`` are the parts of its complex ``exp``, and while its complex
+    product rounds a real part once when one part of c is zero; a numpy or
+    libm upgrade that breaks either fails here by name."""
+    rng = np.random.default_rng(7)
+    p = np.concatenate([[5e-324, -5e-324, 1e-300, 1e15, -1e15],
+                        rng.uniform(-7.0, 7.0, 4000), rng.uniform(-1e5, 1e5, 4000)])
+    wave = np.exp(1j * p)
+    assert wave.real.tobytes() == np.cos(p).tobytes()
+    assert wave.imag.tobytes() == np.sin(p).tobytes()
+    # at p = -0.0 the sine is -0.0 and the exponential's imaginary part +0.0;
+    # a zero term cannot reach an output, as every sum starts from +0.0
+    zero = np.exp(1j * np.array(-0.0)).imag
+    assert zero == np.sin(-0.0) and not np.signbit(zero) and np.signbit(np.sin(-0.0))
+    assert not np.signbit(0.0 + np.sin(-0.0))
+    # compared as added to +0.0, as a sum takes them: a term that underflows
+    # to zero, as 0.37 * sin(5e-324) does, may differ in its sign only
+    kernel = rng.uniform(-50.0, 50.0, p.size)
+    for c in (0.37 + 0j, -2.9e3 + 0j, 0.37j, -2.9e3j, -1.7e-3 - 0j):
+        scale, part = (c.real, np.cos(p)) if c.imag == 0 else (-c.imag, np.sin(p))
+        assert (0.0 + (c * wave).real).tobytes() == (0.0 + scale * part).tobytes(), c
+        assert ((0.0 + (c * kernel * wave).real).tobytes()
+                == (0.0 + (scale * kernel) * part).tobytes()), c
 
 
 # ----------------------------------------------------------------------
