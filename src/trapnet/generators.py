@@ -62,8 +62,9 @@ MAX_NESTING = 100
 # are expanded term by term, so their cost grows with these counts
 MAX_EXPONENT = 64
 MAX_WAVES = 2**18
-# highest degree a polynomial product or power may reach: its expansion
-# takes about 0.1 s at degree 64, 1 s at 128 and 11 s at 192
+# highest degree a polynomial product or power may reach: expanding three
+# dense linear factors to degree 64, 128 or 192 took about 0.1, 1 or 11 s
+# (Python 3.11 on a 2-vCPU Xeon)
 MAX_DEGREE = 128
 
 
