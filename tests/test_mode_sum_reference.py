@@ -3,15 +3,18 @@
 ``reference_mode_sum`` is ``generators.mode_sum`` as it was: every wave's
 phase is ``kx*x + ky*y`` over the broadcast of both coordinates, and the
 terms are summed as complex numbers before one final ``np.real``.  The
-current loop takes an axial wave's phase over its own axis only and adds
-each term's real part into a float sum.  At finite points both must give
-the same bits: equal ``tobytes()`` once broadcast to the points' shape, signs
-of zero and inf/nan positions included.
+current loop takes an axial wave's phase over its own axis only, forms a
+term whose coefficient is real or imaginary from ``cos`` or ``sin`` of the
+phase, and adds each term's real part into a float sum.  At finite points
+both must give the same bits: equal ``tobytes()`` once broadcast to the
+points' shape, signs of zero and inf/nan positions included.
 
 The generators are ``round`` on both sides of its threshold, fields with
 the shapes of spec-sweep's Fourier templates (sine modes, ``cos(2*pi*x)``
-and (1, -1) waves), axial waves with complex amplitudes, and single axial
-waves.  The points are the dense and open grids of
+and (1, -1) waves), axial waves with complex amplitudes, single axial
+waves, and phase-shifted waves, whose general complex coefficients keep the
+complex product at every order; the z = 100..260 grids, where the kernel
+overflows, keep it too.  The points are the dense and open grids of
 ``tests/test_open_axes.py`` (exact +-0.0 axes, and z from 100 to 260 where
 the field overflows), the 1-D point arrays of the oracle and of Newton,
 scalar points, and scalars beside arrays: there an axial wave along the
