@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Partials, Poly2, SymMat2
-from .extension import Field, _on_points, synthesize
+from .extension import Field, _on_open_axes, synthesize
 from .generators import FourierGen, _phase
 
 __all__ = [
@@ -120,6 +120,9 @@ class NodeReport:
     multipole_order: int | None
 
 
+_PLANAR_GRADIENT = ((1, 0), (0, 1))
+
+
 class PlanarJet:
     """Value, gradient and Hessian of a plane generator at arbitrary points.
 
@@ -147,8 +150,9 @@ class PlanarJet:
         return self._engine.partials(((0, 0),), x, y)[0]
 
     def grad(self, x, y) -> np.ndarray:
-        """Gradient at the points, shape (2,) plus their broadcast shape."""
-        return np.array(_on_points(self._engine.partials(((1, 0), (0, 1)), x, y), x, y, 0.0))
+        """Gradient at the points, shape (2,) plus their broadcast shape,
+        evaluated on the arrays' open axes (``extension._on_open_axes``)."""
+        return np.array(_on_open_axes(lambda *p: self._engine.partials(_PLANAR_GRADIENT, *p), x, y))
 
 
 def validate_window(window, axes: int) -> tuple[float, ...]:
@@ -342,39 +346,58 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
 
 
 # gradient and Hessian of P, fetched together: one jet per Newton iteration
-_NEWTON_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_NEWTON_ORDERS = _PLANAR_GRADIENT + ((2, 0), (1, 1), (0, 2))
 
 
-def _batch_partials(jet: PlanarJet, orders, x, y) -> list[np.ndarray]:
-    """``jet.partials`` at the points (x, y), equal to one call per point.
+def _batch_partials(jet: PlanarJet, orders):
+    """A function of points (x, y) giving ``jet.partials(orders, x, y)`` on
+    arrays, equal to one call per point.
 
-    Polynomials go through the term loop of ``Poly2.eval``, from tables that
-    hold the C ``pow`` of each element, as a point evaluation takes it
-    (``np.float_power``); numpy's array power ``a ** n`` may differ from that
-    by an ulp.  Mode sums keep only the real part of each complex term,
-    ``c.real*cos(phase) - c.imag*sin(phase)``: that is a scalar complex
-    product's, where numpy's array product may fuse the multiply and the
-    subtraction, and ``np.cos`` and ``np.sin`` of a finite phase are the parts
-    of ``np.exp(1j*phase)`` bit for bit, but for the sign of a zero sine.
+    What depends on neither the points nor the iteration is built here, once:
+    the derived polynomials and their exponents, or each wave's table of
+    ``(order index, c.real, c.imag)`` for its nonzero coefficients
+    ``c = amp * (1j*kx)**nx * (1j*ky)**ny``.  Polynomials go through the term
+    loop of ``Poly2.eval``, from tables that hold the C ``pow`` of each
+    element, as a point evaluation takes it (``np.float_power``); numpy's array
+    power ``a ** n`` may differ from that by an ulp.  Mode sums keep only the
+    real part of each complex term, ``c.real*cos(phase) - c.imag*sin(phase)``:
+    that is a scalar complex product's, where numpy's array product may fuse
+    the multiply and the subtraction, and ``np.cos`` and ``np.sin`` of a finite
+    phase are the parts of ``np.exp(1j*phase)`` bit for bit, but for the sign
+    of a zero sine.
     """
     engine = jet._engine
     if isinstance(engine, Partials):
         polys = [engine.derivative(counts) for counts in orders]
-        xpow, ypow = ({n: np.float_power(a, n)
-                       for n in {key[axis] for p in polys for key in p.terms}}
-                      for axis, a in enumerate((x, y)))
-        values = [p._evaluate(xpow.__getitem__, ypow.__getitem__) for p in polys]
-    else:
+        exponents = [{key[axis] for p in polys for key in p.terms} for axis in (0, 1)]
+
+        def evaluate(x, y):
+            xpow, ypow = ({n: np.float_power(a, n) for n in ns}
+                          for ns, a in zip(exponents, (x, y)))
+            values = [p._evaluate(xpow.__getitem__, ypow.__getitem__) for p in polys]
+            return [np.broadcast_to(v, np.shape(x)) for v in values]
+        return evaluate
+
+    table = []
+    for kx, ky, amp in engine.waves:
+        coeffs = []
+        for k, (nx, ny) in enumerate(orders):
+            factor = (1j * kx) ** nx * (1j * ky) ** ny
+            if factor != 0:
+                c = amp * factor
+                coeffs.append((k, c.real, c.imag))
+        if coeffs:
+            table.append((kx, ky, coeffs))
+
+    def evaluate(x, y):
         values = [0.0] * len(orders)
-        for kx, ky, amp in engine.waves:
+        for kx, ky, coeffs in table:
             phase = _phase(kx, ky, x, y)
             cos, sin = np.cos(phase), np.sin(phase)
-            for k, (nx, ny) in enumerate(orders):
-                factor = (1j * kx) ** nx * (1j * ky) ** ny
-                if factor != 0:
-                    c = amp * factor
-                    values[k] = values[k] + (c.real * cos - c.imag * sin)
-    return [np.broadcast_to(v, np.shape(x)) for v in values]
+            for k, cr, ci in coeffs:
+                values[k] = values[k] + (cr * cos - ci * sin)
+        return [np.broadcast_to(v, np.shape(x)) for v in values]
+    return evaluate
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -395,13 +418,16 @@ def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.nd
     max_step = 0.25 * span
     step_floor = 1e-13 * max(span, 1.0)
     bound = 1e6 * max(span, 1.0)
+    # gradient and Hessian, and the gradient alone, each set up once per call
+    second_order = _batch_partials(jet, _NEWTON_ORDERS)
+    gradient = _batch_partials(jet, _PLANAR_GRADIENT)
     p = np.array(seeds, dtype=float)
     escaped = np.zeros(len(p), dtype=bool)
     live = np.arange(len(p))
     for _ in range(NEWTON_MAX_ITER):
         if not live.size:
             break
-        gx, gy, hxx, hxy, hyy = _batch_partials(jet, _NEWTON_ORDERS, p[live, 0], p[live, 1])
+        gx, gy, hxx, hxy, hyy = second_order(p[live, 0], p[live, 1])
         moving = (gx != 0.0) | (gy != 0.0)  # a zero gradient stops a seed where it is
         live, gx, gy, hxx, hxy, hyy = (a[moving] for a in (live, gx, gy, hxx, hxy, hyy))
         g = np.column_stack((gx, gy))
@@ -428,8 +454,7 @@ def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.nd
         escaped[live[out]] = True
         live = live[~out & ~(norm < step_floor)]
     ok = np.flatnonzero(~escaped)
-    converged = ok[_norms(np.column_stack(
-        _batch_partials(jet, ((1, 0), (0, 1)), p[ok, 0], p[ok, 1]))) < GRAD_REFINE_TOL]
+    converged = ok[_norms(np.column_stack(gradient(p[ok, 0], p[ok, 1]))) < GRAD_REFINE_TOL]
     refined = [None] * len(p)
     for k in converged.tolist():
         refined[k] = p[k] + 0.0  # normalize -0.0 coordinates

@@ -217,11 +217,40 @@ def _symmetric(indices, values) -> np.ndarray:
     return out
 
 
-def _on_points(values, x, y, z) -> list:
-    """``values`` on arrays of the points' shape: a vanishing derivative is a scalar 0.0."""
-    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray) or isinstance(z, np.ndarray)):
-        return values  # a point: checked first, as np.shape of a float costs microseconds
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z))
+def _open(c):
+    """A float64 ndarray cut to length 1 along every axis on which its bits are constant.
+
+    Elements compare as int64 bits, so -0.0 and +0.0 never merge and equal
+    nans do.  Each axis compares its slice 1 with slice 0 first, so a varying
+    axis is rejected at the cost of one slice.  A cut keeps ``ndim`` and comes
+    back as a contiguous copy; anything else, an ndarray subclass or another
+    dtype included, comes back as it is.
+    """
+    if type(c) is not np.ndarray or c.dtype != np.float64:
+        return c
+    bits = c.view(np.int64)
+    for axis, n in enumerate(c.shape):
+        if n > 1:
+            lead = (slice(None),) * axis
+            first = bits[lead + (slice(0, 1),)]
+            if (bits[lead + (slice(1, 2),)] == first).all() and (bits == first).all():
+                bits = first
+    return c if bits.shape == c.shape else bits.view(np.float64).copy()
+
+
+def _on_open_axes(evaluate, *coords) -> list:
+    """``evaluate(*coords)``, a list of values, on arrays of the points' broadcast shape.
+
+    Array coordinates are cut to their open axes first (:func:`_open`), so a
+    dense grid costs what its sparse ``np.meshgrid`` axes cost.  Evaluation is
+    elementwise, and numpy's ufuncs give an element the same bits at any array
+    length or stride, so the results are the dense grid's bit for bit.
+    """
+    # a point is checked first, as np.shape of a float costs microseconds
+    if not any(isinstance(c, np.ndarray) for c in coords):
+        return evaluate(*coords)
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    values = evaluate(*(_open(c) for c in coords))
     return [np.broadcast_to(v, shape) for v in values] if shape else values
 
 
@@ -256,12 +285,14 @@ class Field:
         return self._engine.partials(((nx, ny, nz),), x, y, z)[0]
 
     def value(self, x, y, z):
-        """Potential at the points; an array of their broadcast shape on arrays."""
-        return _on_points(self._engine.partials(((0, 0, 0),), x, y, z), x, y, z)[0]
+        """Potential at the points; an array of their broadcast shape on arrays,
+        evaluated on the arrays' open axes (:func:`_on_open_axes`)."""
+        return _on_open_axes(lambda *p: self._engine.partials(((0, 0, 0),), *p), x, y, z)[0]
 
     def gradient(self, x, y, z) -> np.ndarray:
-        """Gradient at the points, shape (3,) plus their broadcast shape."""
-        return np.array(_on_points(self._engine.partials(_GRADIENT, x, y, z), x, y, z))
+        """Gradient at the points, shape (3,) plus their broadcast shape,
+        evaluated on the arrays' open axes (:func:`_on_open_axes`)."""
+        return np.array(_on_open_axes(lambda *p: self._engine.partials(_GRADIENT, *p), x, y, z))
 
     def hessian(self, x, y, z) -> np.ndarray:
         """Symmetric Hessian at a point, shape (3, 3)."""
@@ -276,9 +307,12 @@ class Field:
     # ------------------------------------------------------------------
 
     def pseudopotential(self, x, y, z):
-        """kappa * |grad(phi)|**2; an array of the points' broadcast shape on arrays."""
-        gx, gy, gz = self._engine.partials(_GRADIENT, x, y, z)
-        return _on_points([self.kappa * (gx * gx + gy * gy + gz * gz)], x, y, z)[0]
+        """kappa * |grad(phi)|**2; an array of the points' broadcast shape on
+        arrays, evaluated on the arrays' open axes (:func:`_on_open_axes`)."""
+        def upp(*p):
+            gx, gy, gz = self._engine.partials(_GRADIENT, *p)
+            return [self.kappa * (gx * gx + gy * gy + gz * gz)]
+        return _on_open_axes(upp, x, y, z)[0]
 
     def pseudopotential_gradient(self, x, y, z) -> np.ndarray:
         d = self._engine.partials(_GRADIENT + _HESSIAN, x, y, z)

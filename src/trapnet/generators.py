@@ -28,6 +28,7 @@ appear outside trig arguments).  Parameter names are substituted numerically.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import re
@@ -66,6 +67,9 @@ MAX_WAVES = 2**18
 # dense linear factors to degree 64, 128 or 192 took about 0.1, 1 or 11 s
 # (Python 3.11 on a 2-vCPU Xeon)
 MAX_DEGREE = 128
+# longest expression text whose tokens are memoized: with 32 texts at most,
+# the memo holds about 3 MB at worst; a longer text is tokenized afresh
+_MEMO_TEXT = 1024
 
 
 class GeneratorError(ValueError):
@@ -95,7 +99,10 @@ class _Token:
     pos: int
 
 
-def _tokenize(src: str) -> list[_Token]:
+@functools.lru_cache(maxsize=32)
+def _tokenize(src: str) -> tuple[_Token, ...]:
+    """The tokens of ``src``, memoized per text: parameters bind later, in the
+    parser, so a family rebuilt for each parameter value tokenizes once."""
     tokens = []
     pos = 0
     while pos < len(src):
@@ -119,7 +126,7 @@ def _tokenize(src: str) -> list[_Token]:
             continue
         raise ParseError(f"unexpected character {ch!r}", pos)
     tokens.append(_Token("end", "", len(src)))
-    return tokens
+    return tuple(tokens)
 
 
 class _Parser:
@@ -127,7 +134,7 @@ class _Parser:
     the leaves and the values' own ``+ - * ** unary-`` apply the operators."""
 
     def __init__(self, src: str, family, params: dict):
-        self.tokens = _tokenize(src)
+        self.tokens = (_tokenize if len(src) <= _MEMO_TEXT else _tokenize.__wrapped__)(src)
         self.i = 0
         self.depth = 0
         self.family = family

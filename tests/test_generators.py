@@ -60,6 +60,32 @@ def test_parse_unbound_parameter():
         parse_polynomial("q*x")
 
 
+def test_tokens_are_memoized_per_short_text():
+    # threshold_scan rebuilds one family for each parameter value
+    generators._tokenize.cache_clear()
+    for c in (0.1, 0.2, 0.3):
+        catalog("round", {"c": c}).compile()
+    info = generators._tokenize.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # parameters bind after tokenizing, and a memoized text keeps its errors
+    for _ in range(2):
+        assert parse_polynomial("q*x", {"q": 2.0}) == Poly2({(1, 0): 2.0})
+        with pytest.raises(ParseError, match="unbound parameter 'q'") as err:
+            parse_polynomial("q*x")
+        assert err.value.pos == 0
+        with pytest.raises(ParseError, match="unexpected character '@'") as err:
+            parse_polynomial("x + @")
+        assert err.value.pos == 4
+    # a long text is tokenized afresh, and the memo holds at most 32 texts;
+    # it holds round's and "q*x" so far, as a tokenizer error is not kept
+    terms = generators._MEMO_TEXT // 2 + 1
+    assert parse_polynomial("+".join(["x"] * terms)) == Poly2({(1, 0): float(terms)})
+    assert generators._tokenize.cache_info().currsize == 2
+    for n in range(40):
+        parse_polynomial(f"x + {n}")
+    assert generators._tokenize.cache_info().currsize == 32
+
+
 def test_parse_negative_exponent_rejected():
     with pytest.raises(ParseError, match="exponent"):
         parse_polynomial("x^-2")

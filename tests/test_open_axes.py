@@ -1,18 +1,26 @@
 """Grids evaluated on open axes give the bits of a dense grid.
 
 ``trapnet sample`` and ``null_lines`` evaluate on ``np.meshgrid(...,
-sparse=True)`` axes and broadcast the result.  Every operation is
+sparse=True)`` axes and broadcast the result, and ``Field.value``,
+``gradient``, ``pseudopotential`` and ``PlanarJet.grad`` cut a dense array
+coordinate to its open axes before they evaluate.  Every operation is
 elementwise, so each grid point must see the same operations in the same
 order as on a dense grid: equal ``tobytes()``, signs of zero and
-inf/nan positions included.
+inf/nan positions included.  That rests on numpy's ufuncs giving an element
+the same bits at any array length, offset and stride, which
+``test_ufuncs_do_not_depend_on_length_or_stride`` pins.
 """
+
+import collections
 
 import numpy as np
 import pytest
 
+from test_extension import CountedPowers
 from trapnet import (PlanarJet, catalog, catalog_names, null_lines, parse_fourier,
                      parse_polynomial, synthesize)
 from trapnet.analysis import grid_axes
+from trapnet.extension import _GRADIENT, _open
 
 GENERATORS = catalog_names()
 
@@ -129,3 +137,152 @@ def test_null_lines_on_open_axes_match_the_dense_grid(monkeypatch, name, window,
     monkeypatch.setattr(np, "meshgrid", lambda *a, **kw: meshgrid(*a, **{**kw, "sparse": False}))
     want = null_lines(gen, window, res)
     assert repr(got) == repr(want)
+
+
+# ----------------------------------------------------------------------
+# dense coordinates cut to their open axes inside the front ends
+# ----------------------------------------------------------------------
+
+def test_ufuncs_do_not_depend_on_length_or_stride():
+    # a cut grid computes each element in arrays of another length, offset
+    # and stride than the dense grid does; if this fails, the cut is unsound
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, 1e300, 1.0, 709.9]
+    a = np.concatenate([rng.uniform(-4.0, 4.0, 200), rng.normal(size=60) * 300.0, special])
+    ufuncs = [(f"** {n}", lambda v, n=n: v ** n) for n in range(25)]
+    ufuncs += [(f.__name__, f) for f in (np.sin, np.cos, np.exp, np.sinh, np.cosh)]
+    ufuncs.append(("exp(1j*)", lambda v: np.exp(1j * v)))
+    with np.errstate(all="ignore"):
+        for name, f in ufuncs:
+            want = np.concatenate([f(a[i:i + 1]) for i in range(a.size)])
+            assert f(a).tobytes() == want.tobytes(), name
+            for step in (2, 3, 7):
+                for start in range(step):
+                    assert f(a[start::step]).tobytes() == want[start::step].tobytes(), name
+            for length in range(1, 18):
+                for start in range(length):
+                    stop = start + (a.size - start) // length * length
+                    chunks = [f(a[i:i + length]) for i in range(start, stop, length)]
+                    assert np.concatenate(chunks).tobytes() == want[start:stop].tobytes(), name
+
+
+# spec-sweep's templates as the benchmark renders them at seed 0
+SPEC_SWEEP = [
+    ("polynomial", "((((1.344 * x) + (1.258 * y)) + 0.921)^12 * (x - (0.759 * y))^6)"),
+    ("fourier", "(cos(pi*(1*x)) + (1.011 * cos(pi*(0*x + 1*y))))^7"),
+    ("polynomial", "(((x^2 + (0.905 * y^2)) - 1.284)^8 + (0.803 * ((x * y) - 0.977)^5))"),
+    ("fourier", "((cos(pi*(1*x)) + (1.083 * sin(pi*(0*x + 1*y))))"
+                " + (1.408 * cos(pi*(1*x + 1*y))))^5"),
+    ("polynomial", "((((1.005 * x^2) + (0.782 * (x * y))) + (1.256 * y^2)) + 1.0)^12"),
+    ("polynomial", "(((x - 1.118)^4 * (y + 0.751)^4) * ((x * y) + 1.41)^3)"),
+    ("fourier", "(sin(pi*(1*x)) + (1.483 * cos(pi*(1*x - 1*y))))^6"),
+    ("polynomial", "(((1.31 * x^3) - (1.402 * y^2)) + 0.81)^6"),
+    ("fourier", "(((cos(pi*(1*x)) - cos(pi*(0*x + 1*y)))^4 * (1.23 + sin(pi*(1*x - 1*y)))^3)"
+                " + (1.399 * cos(pi*(2*x))))"),
+]
+CUT_GENERATORS = {name: catalog(name).compile() for name in GENERATORS}
+CUT_GENERATORS.update({text: parse_polynomial(text) if family == "polynomial"
+                       else parse_fourier(text, (2.0, 2.0)) for family, text in SPEC_SWEEP})
+# general complex coefficients at every order
+CUT_GENERATORS["phase-shifted"] = parse_fourier("cos(pi*x + 0.3) - 0.4*sin(pi*(x + y) - 1.1)",
+                                                (2.0, 2.0))
+
+
+def _constant(shape, *values):
+    return tuple(np.full(shape, v) for v in values)
+
+
+def _meshes(*axes, order=None):
+    """Dense and sparse ``np.meshgrid`` coordinates of the axes, each transposed by ``order``."""
+    out = []
+    for sparse in (False, True):
+        coords = np.meshgrid(*map(np.asarray, axes), indexing="ij", sparse=sparse)
+        out.append(tuple(coords if order is None else (c.transpose(order) for c in coords)))
+    return out
+
+
+def _plane(xs, ys, z):
+    """Dense and sparse coordinates of a plane grid at a constant z."""
+    (dx, dy), (sx, sy) = (np.meshgrid(xs, ys, indexing="ij", sparse=s) for s in (False, True))
+    return (dx, dy, np.full(dx.shape, z)), (sx, sy, np.full((1, 1), z))
+
+
+CUT_GRIDS = {
+    "plane at constant z": _plane(np.linspace(-1.2, 1.1, 7), np.linspace(-0.9, 1.3, 6), 0.25),
+    "size-1 axes": _meshes([0.4], np.linspace(-1.0, 1.0, 5), [-0.3]),
+    "transposed": _meshes(np.linspace(-1.0, 0.9, 5), np.linspace(-0.8, 1.2, 4), [-0.4, 0.1, 0.35],
+                          order=(2, 0, 1)),
+    "signed zeros": _meshes([-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.5, -0.5], [-0.0, 0.0, 0.3]),
+    "nan axis": _meshes(np.linspace(-1.0, 1.0, 4), [0.2, -0.6, 0.9], [np.nan] * 3),
+    "first two slices equal": _meshes([0.3, 0.3, -0.7, 0.9, 0.3], [-0.2, -0.2, 0.4],
+                                      [0.1, 0.1, 0.1, -0.4]),
+    "constant grid": (_constant((4, 3, 5), 0.3, -0.6, 0.2), _constant((1, 1, 1), 0.3, -0.6, 0.2)),
+}
+
+
+def _engine_quantities(gen):
+    """Front end and reference of each quantity: the reference evaluates the
+    engine's partials on the coordinates as given, with no cut."""
+    fld, jet = synthesize(gen), PlanarJet(gen)
+
+    def upp(x, y, z):
+        gx, gy, gz = fld.partials(_GRADIENT, x, y, z)
+        return [fld.kappa * (gx * gx + gy * gy + gz * gz)]
+    return {
+        "value": (lambda *p: [fld.value(*p)], lambda *p: fld.partials(((0, 0, 0),), *p)),
+        "gradient": (fld.gradient, lambda *p: fld.partials(_GRADIENT, *p)),
+        "pseudopotential": (lambda *p: [fld.pseudopotential(*p)], upp),
+        "planar gradient": (lambda x, y, z: jet.grad(x, y),
+                            lambda x, y, z: jet.partials(((1, 0), (0, 1)), x, y)),
+    }
+
+
+@pytest.mark.parametrize("grid", CUT_GRIDS)
+@pytest.mark.parametrize("name", CUT_GENERATORS)
+def test_front_ends_give_dense_and_sparse_grids_the_same_bits(name, grid):
+    dense, sparse = CUT_GRIDS[grid]
+    shape = np.broadcast_shapes(*(c.shape for c in dense))
+    with np.errstate(all="ignore"):
+        for quantity, (front, reference) in _engine_quantities(CUT_GENERATORS[name]).items():
+            want = [_bits(v, shape) for v in reference(*dense)]
+            for kind, coords in (("dense", dense), ("sparse", sparse)):
+                # the planar gradient's points are (x, y)
+                points = coords[:2] if quantity == "planar gradient" else coords
+                points_shape = np.broadcast_shapes(*(c.shape for c in points))
+                got = front(*coords)
+                assert all(type(v) is np.ndarray and v.shape == points_shape for v in got), \
+                    (quantity, kind)
+                assert [_bits(v, shape) for v in got] == want, (quantity, kind)
+
+
+def test_front_ends_pass_an_ndarray_subclass_through_uncut():
+    # CountedPowers counts each power taken of it, so only an uncut
+    # coordinate of the subclass is counted
+    gen = parse_polynomial("(0.7*x^2 + 1.1*x*y + 0.9*y^2 + 1)^3")
+    plain, _ = _meshes(np.linspace(-1.0, 1.0, 4), np.linspace(-0.5, 0.5, 3), [0.2, 0.2])
+    for quantity, (front, reference) in _engine_quantities(gen).items():
+        coords = [c.view(CountedPowers) for c in plain]
+        for c in coords:
+            c.powers = collections.Counter()
+        got = front(*coords)
+        assert all(np.shape(v) == (4, 3, 2) for v in got), quantity
+        assert [np.asarray(v).tobytes() for v in got] == [_bits(v, (4, 3, 2))
+                                                          for v in reference(*plain)]
+        x, y, z = coords
+        assert sorted(x.powers) == sorted(y.powers) == list(range(len(x.powers))), quantity
+        assert len(x.powers) >= 6 and max(x.powers.values()) == max(y.powers.values()) == 1
+        assert quantity == "planar gradient" or z.powers, quantity
+
+
+def test_the_cut_compares_bits_and_returns_arrays():
+    x, y, z = np.meshgrid([-0.0, 0.0], [0.5, 0.5, 0.5], [np.nan] * 4, indexing="ij")
+    cut = [_open(c) for c in (x, y, z)]
+    assert [c.shape for c in cut] == [(2, 1, 1), (1, 1, 1), (1, 1, 1)]
+    assert all(type(c) is np.ndarray and c.flags.c_contiguous and c.base is None for c in cut)
+    assert cut[0].tobytes() == np.array([-0.0, 0.0]).tobytes()
+    assert np.isnan(cut[2]).all()
+    # points, arrays with nothing to cut, subclasses and other dtypes pass as they are
+    for c in (0.5, np.float64(0.5), np.asarray(0.5), np.linspace(0.0, 1.0, 5),
+              x.view(CountedPowers), np.ones((3, 2), dtype=np.float32), np.zeros((3, 2), dtype=int),
+              np.ones(0)):
+        assert _open(c) is c
