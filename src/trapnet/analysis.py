@@ -140,19 +140,18 @@ class PlanarJet:
             raise TypeError(f"unsupported generator type {type(generator).__name__}")
 
     def partials(self, orders, x, y) -> list:
-        """Analytic partial derivatives, one per (nx, ny) order."""
-        return self._engine.partials(orders, x, y)
+        """Analytic partial derivatives, one per (nx, ny) order (``extension._on_open_axes``)."""
+        return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y)
 
     def deriv(self, nx: int, ny: int, x, y):
-        return self._engine.partials(((nx, ny),), x, y)[0]
+        return self.partials(((nx, ny),), x, y)[0]
 
     def value(self, x, y):
-        return self._engine.partials(((0, 0),), x, y)[0]
+        return self.partials(((0, 0),), x, y)[0]
 
     def grad(self, x, y) -> np.ndarray:
-        """Gradient at the points, shape (2,) plus their broadcast shape,
-        evaluated on the arrays' open axes (``extension._on_open_axes``)."""
-        return np.array(_on_open_axes(lambda *p: self._engine.partials(_PLANAR_GRADIENT, *p), x, y))
+        """Gradient at the points, shape (2,) plus their broadcast shape."""
+        return np.array(self.partials(_PLANAR_GRADIENT, x, y))
 
 
 def validate_window(window, axes: int) -> tuple[float, ...]:
@@ -225,10 +224,8 @@ def null_lines(generator, window, resolution: int) -> list[Polyline]:
     """
     xs, ys = grid_axes(window, (resolution, resolution))
     jet = PlanarJet(generator)
-    # open axes: the same values as on a dense grid; a constant generator
-    # evaluates to a scalar
     gx, gy = np.meshgrid(xs, ys, indexing="ij", sparse=True)
-    values = np.broadcast_to(np.asarray(jet.value(gx, gy), dtype=float), (xs.size, ys.size))
+    values = jet.value(gx, gy)
     neg = values < 0.0
 
     # vertices are keyed by their exact position so that crossings through a

@@ -241,11 +241,16 @@ def _open(c):
 def _on_open_axes(evaluate, *coords) -> list:
     """``evaluate(*coords)``, a list of values, on arrays of the points' broadcast shape.
 
+    Every front end of ``Field`` and ``PlanarJet`` evaluates here, through
+    ``Field.partials``, ``Field.pseudopotential`` or ``PlanarJet.partials``.
     Array coordinates are cut to their open axes first (:func:`_open`), so a
     dense grid costs what its sparse ``np.meshgrid`` axes cost.  Evaluation is
     elementwise, and numpy's ufuncs give an element the same bits at any array
     length or stride, so the results are the dense grid's bit for bit.
     """
+    # numpy's integer powers wrap around; a Python int's are exact
+    coords = [c.astype(np.float64) if isinstance(c, (np.ndarray, np.generic))
+              and c.dtype.kind in "biu" else c for c in coords]
     # a point is checked first, as np.shape of a float costs microseconds
     if not any(isinstance(c, np.ndarray) for c in coords):
         return evaluate(*coords)
@@ -277,52 +282,49 @@ class Field:
         return self.params.kappa
 
     def partials(self, orders, x, y, z) -> list:
-        """Analytic partial derivatives, one per (nx, ny, nz) order."""
-        return self._engine.partials(orders, x, y, z)
+        """Analytic partial derivatives, one per (nx, ny, nz) order (:func:`_on_open_axes`)."""
+        return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y, z)
 
     def derivative(self, nx: int, ny: int, nz: int, x, y, z):
-        """Analytic partial derivative of the potential at a point."""
-        return self._engine.partials(((nx, ny, nz),), x, y, z)[0]
+        """Analytic partial derivative of the potential at the points."""
+        return self.partials(((nx, ny, nz),), x, y, z)[0]
 
     def value(self, x, y, z):
-        """Potential at the points; an array of their broadcast shape on arrays,
-        evaluated on the arrays' open axes (:func:`_on_open_axes`)."""
-        return _on_open_axes(lambda *p: self._engine.partials(((0, 0, 0),), *p), x, y, z)[0]
+        """Potential at the points."""
+        return self.partials(((0, 0, 0),), x, y, z)[0]
 
     def gradient(self, x, y, z) -> np.ndarray:
-        """Gradient at the points, shape (3,) plus their broadcast shape,
-        evaluated on the arrays' open axes (:func:`_on_open_axes`)."""
-        return np.array(_on_open_axes(lambda *p: self._engine.partials(_GRADIENT, *p), x, y, z))
+        """Gradient at the points, shape (3,) plus their broadcast shape."""
+        return np.array(self.partials(_GRADIENT, x, y, z))
 
     def hessian(self, x, y, z) -> np.ndarray:
         """Symmetric Hessian at a point, shape (3, 3)."""
-        return _symmetric(_PAIRS, self._engine.partials(_HESSIAN, x, y, z))
+        return _symmetric(_PAIRS, self.partials(_HESSIAN, x, y, z))
 
     def third(self, x, y, z) -> np.ndarray:
         """Symmetric third-derivative tensor at a point, shape (3, 3, 3)."""
-        return _symmetric(_TRIPLES, self._engine.partials(_THIRD, x, y, z))
+        return _symmetric(_TRIPLES, self.partials(_THIRD, x, y, z))
 
     # ------------------------------------------------------------------
     # ponderomotive potential
     # ------------------------------------------------------------------
 
     def pseudopotential(self, x, y, z):
-        """kappa * |grad(phi)|**2; an array of the points' broadcast shape on
-        arrays, evaluated on the arrays' open axes (:func:`_on_open_axes`)."""
+        """kappa * |grad(phi)|**2, formed on the arrays' open axes (:func:`_on_open_axes`)."""
         def upp(*p):
             gx, gy, gz = self._engine.partials(_GRADIENT, *p)
             return [self.kappa * (gx * gx + gy * gy + gz * gz)]
         return _on_open_axes(upp, x, y, z)[0]
 
     def pseudopotential_gradient(self, x, y, z) -> np.ndarray:
-        d = self._engine.partials(_GRADIENT + _HESSIAN, x, y, z)
+        d = self.partials(_GRADIENT + _HESSIAN, x, y, z)
         g = np.array(d[:3])
         h = _symmetric(_PAIRS, d[3:])
         return 2.0 * self.kappa * h @ g
 
     def pseudopotential_hessian(self, x, y, z) -> np.ndarray:
         """Symmetric Hessian of the pseudopotential at a point, shape (3, 3)."""
-        d = self._engine.partials(_GRADIENT + _HESSIAN + _THIRD, x, y, z)
+        d = self.partials(_GRADIENT + _HESSIAN + _THIRD, x, y, z)
         g = np.array(d[:3])
         h = _symmetric(_PAIRS, d[3:9])
         t = _symmetric(_TRIPLES, d[9:])

@@ -40,9 +40,9 @@ from hypothesis import strategies as st
 
 from conftest import polys
 import trapnet
-from trapnet import (FourierGen, FourierMode, PlanarJet, Poly2, X, Y, ZSeries, catalog,
-                     critical_points, odd_extend, parse_fourier, parse_polynomial, synthesize,
-                     threshold_scan)
+from trapnet import (FourierField, FourierGen, FourierMode, PlanarJet, Poly2, X, Y, ZSeries,
+                     catalog, critical_points, odd_extend, parse_fourier, parse_polynomial,
+                     synthesize, threshold_scan)
 from trapnet.algebra import Partials
 from trapnet.analysis import (_TAYLOR_ORDERS, THRESHOLD_XTOL, _chain_segments,
                               _form_determinant, _refine_newton, multipole_order, null_lines)
@@ -229,7 +229,7 @@ def assert_same_partials(gen, x, y, z):
     plane = [(i, j) for i in range(4) for j in range(4 - i)]
     space = [(i, j, k) for i in range(4) for j in range(4 - i) for k in range(4 - i - j)]
     for got, want in ((gen.partials(plane, x, y), reference_fourier_partials(gen, plane, x, y)),
-                      (synthesize(gen).partials(space, x, y, z),
+                      (FourierField(gen).partials(space, x, y, z),
                        reference_fourier_partials(gen, space, x, y, z))):
         for g, w in zip(got, want):
             assert type(g) is type(w)
@@ -375,7 +375,7 @@ def assert_evaluation_matches(p, x, y, z):
     plane = [(i, j) for i in range(4) for j in range(4 - i)]
     for engine, base, orders, coords in (
             (Partials(p), p, plane, (x, y)),
-            (synthesize(p), series, _GRADIENT + _HESSIAN + _THIRD, (x, y, z))):
+            (Partials(series), series, _GRADIENT + _HESSIAN + _THIRD, (x, y, z))):
         want = outcome(lambda: [v for _, v in reference_partials(base, orders, *coords)])
         assert_same_outcome(outcome(engine.partials, orders, *coords), want)
 

@@ -11,7 +11,7 @@ from conftest import polys, random_poly
 from trapnet import (Field, PlanarJet, Poly2, TrapParams, X, Y, ZSeries, catalog,
                      cauchy_extend, even_extend, odd_extend, odd_extend_fourier,
                      parse_fourier, parse_polynomial, sample_points, synthesize)
-from trapnet.extension import _sinh_kernel
+from trapnet.extension import _GRADIENT, _sinh_kernel
 
 CUSP = Y**2 - X**3
 
@@ -394,6 +394,9 @@ def test_zero_field_values_have_the_points_shape(gen):
     np.testing.assert_array_equal(fld.gradient(*open_axes), np.zeros((3, 5, 4, 3)), strict=True)
     np.testing.assert_array_equal(fld.pseudopotential(*open_axes), np.zeros((5, 4, 3)),
                                   strict=True)
+    np.testing.assert_array_equal(fld.partials(_GRADIENT, xs, xs, xs), np.zeros((3, 5)),
+                                  strict=True)
+    np.testing.assert_array_equal(PlanarJet(gen).value(xs, xs), np.zeros(5), strict=True)
 
 
 class CountedFloat(float):

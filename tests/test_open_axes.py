@@ -1,11 +1,10 @@
 """Grids evaluated on open axes give the bits of a dense grid.
 
 ``trapnet sample`` and ``null_lines`` evaluate on ``np.meshgrid(...,
-sparse=True)`` axes and broadcast the result, and ``Field.value``,
-``gradient``, ``pseudopotential`` and ``PlanarJet.grad`` cut a dense array
-coordinate to its open axes before they evaluate.  Every operation is
-elementwise, so each grid point must see the same operations in the same
-order as on a dense grid: equal ``tobytes()``, signs of zero and
+sparse=True)`` axes, and every ``Field`` and ``PlanarJet`` method cuts a
+dense array coordinate to its open axes before it evaluates.  Every
+operation is elementwise, so each grid point must see the same operations
+in the same order as on a dense grid: equal ``tobytes()``, signs of zero and
 inf/nan positions included.  That rests on numpy's ufuncs giving an element
 the same bits at any array length, offset and stride, which
 ``test_ufuncs_do_not_depend_on_length_or_stride`` pins.
@@ -20,7 +19,7 @@ from test_extension import CountedPowers
 from trapnet import (PlanarJet, catalog, catalog_names, null_lines, parse_fourier,
                      parse_polynomial, synthesize)
 from trapnet.analysis import grid_axes
-from trapnet.extension import _GRADIENT, _open
+from trapnet.extension import _GRADIENT, _HESSIAN, _open
 
 GENERATORS = catalog_names()
 
@@ -180,9 +179,13 @@ SPEC_SWEEP = [
     ("fourier", "(((cos(pi*(1*x)) - cos(pi*(0*x + 1*y)))^4 * (1.23 + sin(pi*(1*x - 1*y)))^3)"
                 " + (1.399 * cos(pi*(2*x))))"),
 ]
+# every plane order up to 2 and one of order 3
+_PLANAR_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (1, 2))
 CUT_GENERATORS = {name: catalog(name).compile() for name in GENERATORS}
 CUT_GENERATORS.update({text: parse_polynomial(text) if family == "polynomial"
                        else parse_fourier(text, (2.0, 2.0)) for family, text in SPEC_SWEEP})
+# axial waves: on open axes the engine's values vary along x only, not the points' shape
+CUT_GENERATORS["axial"] = parse_fourier("cos(pi*x) - 0.3*sin(2*pi*x)", (2.0, 2.0))
 # general complex coefficients at every order
 CUT_GENERATORS["phase-shifted"] = parse_fourier("cos(pi*x + 0.3) - 0.4*sin(pi*(x + y) - 1.1)",
                                                 (2.0, 2.0))
@@ -224,16 +227,27 @@ def _engine_quantities(gen):
     """Front end and reference of each quantity: the reference evaluates the
     engine's partials on the coordinates as given, with no cut."""
     fld, jet = synthesize(gen), PlanarJet(gen)
+    field, planar = fld._engine.partials, jet._engine.partials
 
     def upp(x, y, z):
-        gx, gy, gz = fld.partials(_GRADIENT, x, y, z)
+        gx, gy, gz = field(_GRADIENT, x, y, z)
         return [fld.kappa * (gx * gx + gy * gy + gz * gz)]
     return {
-        "value": (lambda *p: [fld.value(*p)], lambda *p: fld.partials(((0, 0, 0),), *p)),
-        "gradient": (fld.gradient, lambda *p: fld.partials(_GRADIENT, *p)),
+        "value": (lambda *p: [fld.value(*p)], lambda *p: field(((0, 0, 0),), *p)),
+        "derivative": (lambda *p: [fld.derivative(1, 0, 1, *p)],
+                       lambda *p: field(((1, 0, 1),), *p)),
+        "partials": (lambda *p: fld.partials(_GRADIENT + _HESSIAN, *p),
+                     lambda *p: field(_GRADIENT + _HESSIAN, *p)),
+        "gradient": (fld.gradient, lambda *p: field(_GRADIENT, *p)),
         "pseudopotential": (lambda *p: [fld.pseudopotential(*p)], upp),
+        "planar value": (lambda x, y, z: [jet.value(x, y)],
+                         lambda x, y, z: planar(((0, 0),), x, y)),
+        "planar deriv": (lambda x, y, z: [jet.deriv(0, 1, x, y)],
+                         lambda x, y, z: planar(((0, 1),), x, y)),
+        "planar partials": (lambda x, y, z: jet.partials(_PLANAR_ORDERS, x, y),
+                            lambda x, y, z: planar(_PLANAR_ORDERS, x, y)),
         "planar gradient": (lambda x, y, z: jet.grad(x, y),
-                            lambda x, y, z: jet.partials(((1, 0), (0, 1)), x, y)),
+                            lambda x, y, z: planar(((1, 0), (0, 1)), x, y)),
     }
 
 
@@ -246,8 +260,8 @@ def test_front_ends_give_dense_and_sparse_grids_the_same_bits(name, grid):
         for quantity, (front, reference) in _engine_quantities(CUT_GENERATORS[name]).items():
             want = [_bits(v, shape) for v in reference(*dense)]
             for kind, coords in (("dense", dense), ("sparse", sparse)):
-                # the planar gradient's points are (x, y)
-                points = coords[:2] if quantity == "planar gradient" else coords
+                # the planar quantities' points are (x, y)
+                points = coords[:2] if quantity.startswith("planar") else coords
                 points_shape = np.broadcast_shapes(*(c.shape for c in points))
                 got = front(*coords)
                 assert all(type(v) is np.ndarray and v.shape == points_shape for v in got), \
@@ -271,7 +285,43 @@ def test_front_ends_pass_an_ndarray_subclass_through_uncut():
         x, y, z = coords
         assert sorted(x.powers) == sorted(y.powers) == list(range(len(x.powers))), quantity
         assert len(x.powers) >= 6 and max(x.powers.values()) == max(y.powers.values()) == 1
-        assert quantity == "planar gradient" or z.powers, quantity
+        assert quantity.startswith("planar") or z.powers, quantity
+
+
+def _typed_bits(values):
+    return [(type(v), np.asarray(v).tobytes()) for v in values]
+
+
+INTEGER_ARRAYS = [
+    (np.arange(5), np.array([0, -1, 2, 0, 1]), np.arange(5) % 2),
+    (np.arange(2, 7, dtype=np.uint8), np.zeros((1, 5), dtype=np.int32),
+     np.array(3, dtype=np.int16)),
+    (np.array([True, False, True, True, False]), np.array([[False], [True]]), np.array(True)),
+]
+INTEGER_POINTS = [
+    (np.int64(3), np.int64(0), np.int64(1)),
+    (np.uint8(4), np.int32(-1), np.int16(2)),
+    (np.True_, np.False_, np.True_),
+]
+
+
+@pytest.mark.parametrize("gen", [parse_polynomial("x^40"), catalog("round").compile()],
+                         ids=["x^40", "round"])
+def test_numpy_integer_and_bool_coordinates_give_the_bits_of_floats(gen):
+    # numpy's integer powers wrap around: in int64, 3**40 is -6.29e18 and 4**40 is 0
+    fld = synthesize(gen)
+    on_arrays = {quantity: front for quantity, (front, _) in _engine_quantities(gen).items()}
+    for coords in INTEGER_ARRAYS:
+        floats = [c.astype(np.float64) for c in coords]
+        for quantity, front in on_arrays.items():
+            assert _typed_bits(front(*coords)) == _typed_bits(front(*floats)), quantity
+    at_a_point = {"hessian": fld.hessian, "third": fld.third,
+                  "pseudopotential_gradient": fld.pseudopotential_gradient,
+                  "pseudopotential_hessian": fld.pseudopotential_hessian}
+    for point in INTEGER_POINTS:
+        floats = [np.float64(c) for c in point]
+        for quantity, front in {**on_arrays, **at_a_point}.items():
+            assert _typed_bits(front(*point)) == _typed_bits(front(*floats)), quantity
 
 
 def test_the_cut_compares_bits_and_returns_arrays():
