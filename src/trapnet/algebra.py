@@ -31,6 +31,14 @@ __all__ = [
 ]
 
 
+def _float64(c):
+    """``c`` with numpy integer and bool values as float64: numpy's integer
+    powers wrap around, where a Python int's are exact."""
+    if isinstance(c, (np.ndarray, np.generic)) and c.dtype.kind in "biu":
+        return c.astype(np.float64)
+    return c
+
+
 class _Powers(dict):
     """Lazy map n -> ``base ** n`` for one call, each power computed once.
 
@@ -41,7 +49,7 @@ class _Powers(dict):
     __slots__ = ("_base",)
 
     def __init__(self, base):
-        self._base = base
+        self._base = _float64(base)
 
     def __missing__(self, n):
         value = self[n] = self._base ** n
@@ -283,7 +291,7 @@ class ZSeries:
         return not self._layers
 
     def eval(self, x, y, z):
-        return self._evaluate(_Powers(x).__getitem__, _Powers(y).__getitem__, z)
+        return self._evaluate(_Powers(x).__getitem__, _Powers(y).__getitem__, _float64(z))
 
     def _evaluate(self, xpow, ypow, z):
         """Sum of ``z**n / n! * layer_n(x, y)`` in order of n."""
@@ -368,7 +376,7 @@ class Partials:
         Each power of x and y is computed once and shared by every order and
         every layer of a series; the bits are those ``eval`` gives.
         """
-        x, y, *z = coords
+        x, y, *z = map(_float64, coords)
         xpow, ypow = _Powers(x).__getitem__, _Powers(y).__getitem__
         return [self.derivative(counts)._evaluate(xpow, ypow, *z) for counts in orders]
 

@@ -15,10 +15,13 @@ precondition failure.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
+import tempfile
+import threading
 
 import numpy as np
 
@@ -38,6 +41,14 @@ QUANTITIES = ("phi", "upp", "grad_norm", "p")
 # values that `sample` formats and writes per slice: bounds the Python floats
 # and strings held at once, whatever the grid size
 _SLICE = 8192
+# fewest values in a part formatted by a forked child: the fork, its file and
+# the read-back cost a few ms against about 1 us a value formatted, and two
+# parts of 8192 values measured even with one process (2-vCPU Xeon, with 80 MB
+# resident); twice that leaves a margin
+_MIN_PART = 16384
+# bytes of a child's text that the parent reads at once; 1 MiB reads raised
+# the parent's peak RSS
+_READ = 65536
 
 
 def _parse_floats(text: str, counts: tuple[int, ...], what: str) -> tuple:
@@ -103,35 +114,101 @@ def _json_dump(obj) -> str:
                          "out of float range") from None
 
 
-def _value_text(values: np.ndarray, sep: str, prefixes=None):
+def _part_bounds(n: int) -> list[int]:
+    """Bounds of the contiguous parts in which ``n`` values are formatted: one
+    part per CPU this process may run on, each of at least ``_MIN_PART``
+    values, and one part where ``os.fork`` is missing or another Python
+    thread runs (a child would hold a copy of its locks, taken or not)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return [0, n]
+    parts = min(len(os.sched_getaffinity(0)), n // _MIN_PART)
+    return [n * k // parts for k in range(parts + 1)] if parts > 1 else [0, n]
+
+
+def _format(values: np.ndarray, sep: str, rows, start: int, stop: int):
+    """Yield the text of ``values[start:stop]`` within ``_value_text``'s join:
+    ``sep`` before every slice of ``_SLICE`` values but the array's first."""
+    prefixes = None
+    if rows is not None:
+        outer, last = rows
+        q, i = divmod(start, len(last))
+        prefixes = itertools.chain((outer[q] + f for f in last[i:]),
+                                   (p + f for p in itertools.islice(outer, q + 1, None)
+                                    for f in last))
+    for lo in range(start, stop, _SLICE):
+        chunk = values[lo:min(lo + _SLICE, stop)].tolist()
+        text = map(float.__repr__, chunk)
+        if prefixes is not None:
+            text = map(str.__add__, itertools.islice(prefixes, len(chunk)), text)
+        if lo:
+            yield sep
+        yield sep.join(text)
+
+
+def _fork(pieces) -> tuple[int, object]:
+    """Fork a child that writes the strings of ``pieces`` to a new temporary
+    file and exits, with status 0 once all are written; return its pid and
+    the file."""
+    fh = tempfile.TemporaryFile()
+    try:
+        pid = os.fork()
+    except OSError:
+        fh.close()
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            with open(fh.fileno(), "w", encoding="ascii", closefd=False) as out:
+                out.writelines(pieces)
+            code = 0
+        finally:
+            os._exit(code)  # never back into the caller's code
+    return pid, fh
+
+
+def _value_text(values: np.ndarray, sep: str, rows=None):
     """Yield ``sep.join`` of each value of a 1-D float array, formatted with
     ``float.__repr__``, in pieces whose concatenation is that one join.
 
-    With ``prefixes``, an iterator of strings, each value follows the next
-    prefix.  The values are formatted and joined ``_SLICE`` at a time, so
-    only one slice's floats and strings are held as Python objects at once.
+    With ``rows``, a pair ``(outer, last)`` of string lists, value k follows
+    the prefix ``outer[k // len(last)] + last[k % len(last)]``.  The values
+    are formatted and joined ``_SLICE`` at a time, so only one slice's floats
+    and strings are held as Python objects at once.
+
+    Each part of :func:`_part_bounds` but the first is formatted by a forked
+    child into a temporary file while this process formats the first; the
+    parts are then yielded in order, each child's read back ``_READ`` bytes at
+    a time.  A part whose child could not start or failed is formatted here.
+    Closing the generator early kills and reaps every child still running.
     """
-    for start in range(0, values.size, _SLICE):
-        chunk = values[start:start + _SLICE].tolist()
-        rows = map(float.__repr__, chunk)
-        if prefixes is not None:
-            rows = map(str.__add__, itertools.islice(prefixes, len(chunk)), rows)
-        if start:
-            yield sep
-        yield sep.join(rows)
-
-
-def _json_with_values(payload, values: np.ndarray):
-    """``_json_dump`` of the payload with its empty "values" list filled, as
-    pieces of text; the same bytes.
-
-    Only the small header goes through the json encoder.  Each value, a
-    finite float, is formatted once with ``float.__repr__`` as the encoder
-    formats it, and the list is spliced in at the encoder's indent.
-    """
-    head, tail = _json_dump(payload).split('"values": []')
-    return itertools.chain([head, '"values": [\n    '], _value_text(values, ",\n    "),
-                           ["\n  ]", tail])
+    bounds = _part_bounds(values.size)
+    parts = list(zip(bounds, bounds[1:]))
+    children = {}  # part index -> (pid, file) of each child not yet reaped
+    try:
+        for k in range(1, len(parts)):
+            with contextlib.suppress(OSError):  # no file or no fork: formatted here
+                children[k] = _fork(_format(values, sep, rows, *parts[k]))
+        yield from _format(values, sep, rows, *parts[0])
+        for k in range(1, len(parts)):
+            if k in children:
+                pid, fh = children[k]
+                status = os.waitpid(pid, 0)[1]
+                del children[k]
+                with fh:
+                    if status == 0:
+                        fh.seek(0)
+                        while piece := fh.read(_READ):
+                            yield piece.decode("ascii")
+                        continue
+            yield from _format(values, sep, rows, *parts[k])
+    finally:
+        if children:
+            import signal  # only here, so not at module load
+        for pid, fh in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            fh.close()
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +256,11 @@ def cmd_sample(args) -> int:
             "order": "x-major" + ("" if ndim == 2 else ", z fastest"),
             "values": [],
         }
-        _write_text(_json_with_values(payload, values), args.out)
+        # only the small header goes through the json encoder; each value, a
+        # finite float, is formatted with float.__repr__ as the encoder formats
+        # it, and the list is spliced in at the encoder's indent: the same bytes
+        head, tail = _json_dump(payload).split('"values": []')
+        head, sep, rows, tail = head + '"values": [\n    ', ",\n    ", None, "\n  ]" + tail
     else:
         # each coordinate is formatted once; the "x,y[,z]," prefixes of the
         # rows run in the same C order as ravel(), the last axis generated
@@ -187,10 +268,11 @@ def cmd_sample(args) -> int:
         outer = [""]
         for axis_fields in fields[:-1]:
             outer = [p + f for p in outer for f in axis_fields]
-        prefixes = (p + f for p in outer for f in fields[-1])
-        header = "x,y,value" if ndim == 2 else "x,y,z,value"
-        _write_text(itertools.chain([header + "\n"], _value_text(values, "\n", prefixes), ["\n"]),
-                    args.out)
+        head = ("x,y,value" if ndim == 2 else "x,y,z,value") + "\n"
+        sep, rows, tail = "\n", (outer, fields[-1]), "\n"
+    # closed whatever happens, so that no child outlives the call
+    with contextlib.closing(_value_text(values, sep, rows)) as text:
+        _write_text(itertools.chain([head], text, [tail]), args.out)
     return EXIT_OK
 
 

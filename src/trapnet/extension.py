@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Partials, Poly2, ZSeries
+from .algebra import Partials, Poly2, ZSeries, _float64
 from .generators import FourierGen, mode_sum
 
 __all__ = [
@@ -248,9 +248,7 @@ def _on_open_axes(evaluate, *coords) -> list:
     elementwise, and numpy's ufuncs give an element the same bits at any array
     length or stride, so the results are the dense grid's bit for bit.
     """
-    # numpy's integer powers wrap around; a Python int's are exact
-    coords = [c.astype(np.float64) if isinstance(c, (np.ndarray, np.generic))
-              and c.dtype.kind in "biu" else c for c in coords]
+    coords = [_float64(c) for c in coords]  # before the cut, which takes float64 only
     # a point is checked first, as np.shape of a float costs microseconds
     if not any(isinstance(c, np.ndarray) for c in coords):
         return evaluate(*coords)
@@ -285,6 +283,12 @@ class Field:
         """Analytic partial derivatives, one per (nx, ny, nz) order (:func:`_on_open_axes`)."""
         return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y, z)
 
+    def _at_point(self, method: str, orders, x, y, z) -> list:
+        """``partials`` at one point, for the methods that build tensors of one point."""
+        if any(np.ndim(c) for c in (x, y, z)):
+            raise ValueError(f"Field.{method} takes one point (x, y, z), not arrays")
+        return self.partials(orders, x, y, z)
+
     def derivative(self, nx: int, ny: int, nz: int, x, y, z):
         """Analytic partial derivative of the potential at the points."""
         return self.partials(((nx, ny, nz),), x, y, z)[0]
@@ -299,11 +303,11 @@ class Field:
 
     def hessian(self, x, y, z) -> np.ndarray:
         """Symmetric Hessian at a point, shape (3, 3)."""
-        return _symmetric(_PAIRS, self.partials(_HESSIAN, x, y, z))
+        return _symmetric(_PAIRS, self._at_point("hessian", _HESSIAN, x, y, z))
 
     def third(self, x, y, z) -> np.ndarray:
         """Symmetric third-derivative tensor at a point, shape (3, 3, 3)."""
-        return _symmetric(_TRIPLES, self.partials(_THIRD, x, y, z))
+        return _symmetric(_TRIPLES, self._at_point("third", _THIRD, x, y, z))
 
     # ------------------------------------------------------------------
     # ponderomotive potential
@@ -317,14 +321,14 @@ class Field:
         return _on_open_axes(upp, x, y, z)[0]
 
     def pseudopotential_gradient(self, x, y, z) -> np.ndarray:
-        d = self.partials(_GRADIENT + _HESSIAN, x, y, z)
+        d = self._at_point("pseudopotential_gradient", _GRADIENT + _HESSIAN, x, y, z)
         g = np.array(d[:3])
         h = _symmetric(_PAIRS, d[3:])
         return 2.0 * self.kappa * h @ g
 
     def pseudopotential_hessian(self, x, y, z) -> np.ndarray:
         """Symmetric Hessian of the pseudopotential at a point, shape (3, 3)."""
-        d = self.partials(_GRADIENT + _HESSIAN + _THIRD, x, y, z)
+        d = self._at_point("pseudopotential_hessian", _GRADIENT + _HESSIAN + _THIRD, x, y, z)
         g = np.array(d[:3])
         h = _symmetric(_PAIRS, d[3:9])
         t = _symmetric(_TRIPLES, d[9:])

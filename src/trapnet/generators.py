@@ -506,10 +506,14 @@ class FourierGen:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FourierGen):
             return NotImplemented
-        return self._periods == other._periods and self._modes == other._modes
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self._periods, tuple((m.m, m.n, m.amp) for m in self._modes)))
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        # FourierMode compares (m, n) only, for its order; equality needs the amplitudes
+        return self._periods, tuple((m.m, m.n, m.amp) for m in self._modes)
 
     def __repr__(self) -> str:
         return f"FourierGen(periods={self._periods}, modes={self._modes!r})"

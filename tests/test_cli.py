@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -154,19 +155,26 @@ ENCODER_GRIDS = [
 ]
 
 
+def special_sample(monkeypatch, capsys, tmp_path, window, counts, fmt, to_file):
+    """Exit code and text of ``sample`` of a SpecialField, and the text the encoder writes."""
+    monkeypatch.setattr(cli, "synthesize", lambda generator, params: SpecialField())
+    argv = ["sample", "linear", "--quantity", "phi", "--format", fmt,
+            "--window=" + ",".join(map(repr, window)), "--res", ",".join(map(str, counts))]
+    out = tmp_path / "out.txt"
+    code = main(argv + ["--out", str(out)] if to_file else argv)
+    text = out.read_text() if to_file and code == 0 else capsys.readouterr().out
+    values = np.resize(np.array(SPECIAL_VALUES), counts).ravel().tolist()
+    return code, text, encoder_sample_text(fmt, window, counts, values)
+
+
 @pytest.mark.parametrize("to_file", [False, True])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("window, counts", ENCODER_GRIDS)
 def test_sample_output_matches_the_encoder(monkeypatch, capsys, tmp_path,
                                            window, counts, fmt, to_file):
-    monkeypatch.setattr(cli, "synthesize", lambda generator, params: SpecialField())
-    argv = ["sample", "linear", "--quantity", "phi", "--format", fmt,
-            "--window=" + ",".join(map(repr, window)), "--res", ",".join(map(str, counts))]
-    out = tmp_path / "out.txt"
-    assert main(argv + ["--out", str(out)] if to_file else argv) == 0
-    text = out.read_text() if to_file else capsys.readouterr().out
-    values = np.resize(np.array(SPECIAL_VALUES), counts).ravel().tolist()
-    assert text == encoder_sample_text(fmt, window, counts, values)
+    code, text, want = special_sample(monkeypatch, capsys, tmp_path, window, counts, fmt, to_file)
+    assert code == 0
+    assert text == want
 
 
 @pytest.mark.parametrize("slice_size", [1, 7, cli._SLICE])
@@ -188,6 +196,129 @@ def test_sample_output_is_the_same_at_every_slice_size(monkeypatch, capsys,
     want = encoder_sample_text(fmt, window, counts, values)
     # compared as lists of lines, so that a failure names the first differing line quickly
     assert capsys.readouterr().out.split("\n") == want.split("\n")
+
+
+# the parts of 20 and of 100 values, 5 at least, start mid-row for 2, 3 and 4 parts
+PART_GRIDS = [
+    ((-1.0, 1.0, -0.0, 0.5), (5, 4)),
+    ((-1.0, 1.0, -0.0, 0.5, -0.5, -0.0), (5, 5, 4)),
+]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that ``os.fork`` starts in this test."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def use_cpus(monkeypatch, cpus, min_part=5):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(cli, "_MIN_PART", min_part)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("slice_size", [1, 7, cli._SLICE])
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("window, counts", PART_GRIDS)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_sample_output_is_the_same_in_every_number_of_parts(
+        monkeypatch, capsys, tmp_path, forks, cpus, window, counts, fmt, to_file, slice_size):
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(cli, "_SLICE", slice_size)
+    bounds = cli._part_bounds(math.prod(counts))
+    assert len(bounds) == cpus + 1
+    assert all(b % counts[-1] for b in bounds[1:-1])
+    code, text, want = special_sample(monkeypatch, capsys, tmp_path, window, counts, fmt, to_file)
+    assert code == 0
+    assert text.split("\n") == want.split("\n")
+    assert len(forks) == cpus - 1
+    assert_no_children()
+
+
+def test_sample_parts_hold_at_least_the_minimum(monkeypatch):
+    use_cpus(monkeypatch, 4, min_part=10)
+    assert cli._part_bounds(19) == [0, 19]
+    assert cli._part_bounds(20) == [0, 10, 20]
+    assert cli._part_bounds(35) == [0, 11, 23, 35]
+    assert cli._part_bounds(10**6) == [0, 250000, 500000, 750000, 10**6]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_failed_child_has_its_part_formatted_by_the_parent(monkeypatch, capsys, tmp_path,
+                                                             forks, fmt):
+    use_cpus(monkeypatch, 3)
+    parent, real = os.getpid(), cli._format
+
+    def fail_in_a_child(*args):
+        pieces = real(*args)
+        if os.getpid() != parent:
+            yield next(pieces)  # a part written in part, then the child fails
+            raise OSError("no space left")
+        yield from pieces
+    monkeypatch.setattr(cli, "_format", fail_in_a_child)
+    window, counts = PART_GRIDS[1]
+    code, text, want = special_sample(monkeypatch, capsys, tmp_path, window, counts, fmt, False)
+    assert code == 0
+    assert text == want
+    assert len(forks) == 2
+    assert_no_children()
+
+
+class FailingStdout:
+    """Standard output that fails after its first two pieces of text."""
+
+    def writelines(self, pieces):
+        for _ in itertools.islice(pieces, 2):
+            pass
+        raise OSError("broken pipe")
+
+
+def test_a_write_error_kills_and_reaps_every_child(monkeypatch, capsys, tmp_path, forks):
+    use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    window, counts = PART_GRIDS[1]
+    code, _, _ = special_sample(monkeypatch, capsys, tmp_path, window, counts, "csv", False)
+    assert code == cli.EXIT_IO
+    assert len(forks) == 3
+    assert_no_children()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("serial", ["one cpu", "no fork", "a second thread", "too few values"])
+def test_sample_formats_in_this_process_where_a_fork_cannot_pay_or_is_unsafe(
+        monkeypatch, capsys, tmp_path, forks, serial, fmt):
+    use_cpus(monkeypatch, 1 if serial == "one cpu" else 4, 51 if serial == "too few values" else 5)
+    if serial == "no fork":
+        monkeypatch.delattr(os, "fork")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    if serial == "a second thread":
+        thread.start()
+    try:
+        window, counts = PART_GRIDS[1]
+        code, text, want = special_sample(monkeypatch, capsys, tmp_path, window, counts, fmt,
+                                          False)
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(10)
+    assert not thread.is_alive()
+    assert code == 0
+    assert text == want
+    assert forks == []
 
 
 def test_sample_rejects_planar_quantity_on_3d_window(capsys):

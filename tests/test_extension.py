@@ -349,6 +349,18 @@ def test_bad_derivative_count_is_refused(name, bad):
             call()
 
 
+@pytest.mark.parametrize("method", ["hessian", "third", "pseudopotential_gradient",
+                                    "pseudopotential_hessian"])
+def test_point_only_methods_refuse_arrays(method):
+    fld = synthesize(catalog("round").compile())
+    xs = np.array([0.1, 0.2, 0.3])
+    for coords in ((xs, xs, xs), (0.1, 0.2, xs), ([0.1, 0.2], 0.2, 0.3)):
+        with pytest.raises(ValueError, match=f"Field.{method} takes one point"):
+            getattr(fld, method)(*coords)
+    # 0-d arrays and numpy scalars are points
+    assert np.shape(getattr(fld, method)(np.array(0.1), np.float64(0.2), 0.3))[0] == 3
+
+
 class CountedPowers(np.ndarray):
     """Coordinate array that counts each ``base ** n`` taken of it."""
 

@@ -320,6 +320,16 @@ def test_fourier_gen_rejects_non_hermitian_modes():
         FourierGen((2.0, 2.0), [FourierMode(1, 0, 0.5j), FourierMode(-1, 0, 0.5j)])
 
 
+def test_fourier_gen_equality_compares_amplitudes():
+    # FourierMode orders by (m, n) alone; FourierGen equality must see the amplitudes too
+    one = parse_fourier("cos(pi*x)", (2.0, 2.0))
+    assert one != parse_fourier("2*cos(pi*x)", (2.0, 2.0))
+    assert one != parse_fourier("cos(pi*x)", (2.0, 4.0))
+    twin = parse_fourier("0.5*cos(pi*x) + 0.5*cos(pi*x)", (2.0, 2.0))
+    assert twin == one and hash(twin) == hash(one)
+    assert len({one, twin, parse_fourier("2*cos(pi*x)", (2.0, 2.0))}) == 2
+
+
 def test_fourier_gen_rejects_bad_periods():
     from trapnet import FourierGen
     with pytest.raises(GeneratorError, match="positive"):

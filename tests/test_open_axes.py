@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from test_extension import CountedPowers
-from trapnet import (PlanarJet, catalog, catalog_names, null_lines, parse_fourier,
+from trapnet import (PlanarJet, catalog, catalog_names, null_lines, odd_extend, parse_fourier,
                      parse_polynomial, synthesize)
+from trapnet.algebra import Partials
 from trapnet.analysis import grid_axes
 from trapnet.extension import _GRADIENT, _HESSIAN, _open
 
@@ -322,6 +323,18 @@ def test_numpy_integer_and_bool_coordinates_give_the_bits_of_floats(gen):
         floats = [np.float64(c) for c in point]
         for quantity, front in {**on_arrays, **at_a_point}.items():
             assert _typed_bits(front(*point)) == _typed_bits(front(*floats)), quantity
+
+
+def test_the_engines_take_numpy_integer_and_bool_coordinates_as_floats():
+    gen = parse_polynomial("x^40")
+    series = odd_extend(gen)
+    engines = {"Poly2.eval": lambda x, y, z: [gen.eval(x, y)],
+               "ZSeries.eval": lambda *p: [series.eval(*p)],
+               "Partials.partials": lambda *p: Partials(series).partials(_HESSIAN, *p)}
+    for coords in INTEGER_ARRAYS + INTEGER_POINTS:
+        floats = [c.astype(np.float64) for c in coords]
+        for name, engine in engines.items():
+            assert _typed_bits(engine(*coords)) == _typed_bits(engine(*floats)), name
 
 
 def test_the_cut_compares_bits_and_returns_arrays():
