@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Partials, Poly2, SymMat2
 from .extension import Field, _on_open_axes, synthesize
-from .generators import FourierGen, _phase
+from .generators import FourierGen, _phase, _wave_coefficients
 
 __all__ = [
     "AnalysisError",
@@ -132,7 +132,8 @@ class PlanarJet:
     """
 
     def __init__(self, generator):
-        if isinstance(generator, Poly2):
+        self._arrays = isinstance(generator, Poly2)
+        if self._arrays:
             self._engine = Partials(generator)
         elif isinstance(generator, FourierGen):
             self._engine = generator
@@ -141,7 +142,8 @@ class PlanarJet:
 
     def partials(self, orders, x, y) -> list:
         """Analytic partial derivatives, one per (nx, ny) order (``extension._on_open_axes``)."""
-        return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y)
+        return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y,
+                             arrays=self._arrays)
 
     def deriv(self, nx: int, ny: int, x, y):
         return self.partials(((nx, ny),), x, y)[0]
@@ -336,63 +338,38 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
     for x, y in sorted(converged):
         if any(np.hypot(x - cp.x, y - cp.y) < DEDUP_TOL for cp in out):
             continue
-        value = float(jet.value(x, y))
-        grad_norm = float(np.linalg.norm(jet.grad(x, y)))
+        value, *grad = jet.partials(_QUADRATIC_ORDERS[:3], x, y)
+        grad_norm = float(np.linalg.norm(grad))
         out.append(CriticalPoint(x, y, value, grad_norm, abs(value) < NODE_P_TOL))
     return out
 
 
 # gradient and Hessian of P, fetched together: one jet per Newton iteration
 _NEWTON_ORDERS = _PLANAR_GRADIENT + ((2, 0), (1, 1), (0, 2))
+_QUADRATIC_ORDERS = ((0, 0),) + _NEWTON_ORDERS
 
 
 def _batch_partials(jet: PlanarJet, orders):
     """A function of points (x, y) giving ``jet.partials(orders, x, y)`` on
     arrays, equal to one call per point.
 
-    What depends on neither the points nor the iteration is built here, once:
-    the derived polynomials and their exponents, or each wave's table of
-    ``(order index, c.real, c.imag)`` for its nonzero coefficients
-    ``c = amp * (1j*kx)**nx * (1j*ky)**ny``.  Polynomials go through the term
-    loop of ``Poly2.eval``, from tables that hold the C ``pow`` of each
-    element, as a point evaluation takes it (``np.float_power``); numpy's array
-    power ``a ** n`` may differ from that by an ulp.  Mode sums keep only the
-    real part of each complex term, ``c.real*cos(phase) - c.imag*sin(phase)``:
-    that is a scalar complex product's, where numpy's array product may fuse
-    the multiply and the subtraction, and ``np.cos`` and ``np.sin`` of a finite
-    phase are the parts of ``np.exp(1j*phase)`` bit for bit, but for the sign
-    of a zero sine.
+    For a polynomial that is ``jet.partials``.  A mode sum takes each term's
+    real part as ``c.real*cos(phase) - c.imag*sin(phase)``, a scalar complex
+    product's, where numpy's array product may fuse the multiply and the
+    subtraction; ``np.cos`` and ``np.sin`` of a finite phase are the parts of
+    ``np.exp(1j*phase)`` bit for bit, but for the sign of a zero sine.
     """
-    engine = jet._engine
-    if isinstance(engine, Partials):
-        polys = [engine.derivative(counts) for counts in orders]
-        exponents = [{key[axis] for p in polys for key in p.terms} for axis in (0, 1)]
-
-        def evaluate(x, y):
-            xpow, ypow = ({n: np.float_power(a, n) for n in ns}
-                          for ns, a in zip(exponents, (x, y)))
-            values = [p._evaluate(xpow.__getitem__, ypow.__getitem__) for p in polys]
-            return [np.broadcast_to(v, np.shape(x)) for v in values]
-        return evaluate
-
-    table = []
-    for kx, ky, amp in engine.waves:
-        coeffs = []
-        for k, (nx, ny) in enumerate(orders):
-            factor = (1j * kx) ** nx * (1j * ky) ** ny
-            if factor != 0:
-                c = amp * factor
-                coeffs.append((k, c.real, c.imag))
-        if coeffs:
-            table.append((kx, ky, coeffs))
+    if jet._arrays:
+        return lambda x, y: jet.partials(orders, x, y)
+    table = list(_wave_coefficients(jet._engine.waves, orders))
 
     def evaluate(x, y):
         values = [0.0] * len(orders)
         for kx, ky, coeffs in table:
             phase = _phase(kx, ky, x, y)
             cos, sin = np.cos(phase), np.sin(phase)
-            for k, cr, ci in coeffs:
-                values[k] = values[k] + (cr * cos - ci * sin)
+            for k, c, _ in coeffs:
+                values[k] = values[k] + (c.real * cos - c.imag * sin)
         return [np.broadcast_to(v, np.shape(x)) for v in values]
     return evaluate
 
@@ -415,9 +392,8 @@ def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.nd
     max_step = 0.25 * span
     step_floor = 1e-13 * max(span, 1.0)
     bound = 1e6 * max(span, 1.0)
-    # gradient and Hessian, and the gradient alone, each set up once per call
+    # gradient and Hessian, set up once per call
     second_order = _batch_partials(jet, _NEWTON_ORDERS)
-    gradient = _batch_partials(jet, _PLANAR_GRADIENT)
     p = np.array(seeds, dtype=float)
     escaped = np.zeros(len(p), dtype=bool)
     live = np.arange(len(p))
@@ -451,7 +427,8 @@ def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.nd
         escaped[live[out]] = True
         live = live[~out & ~(norm < step_floor)]
     ok = np.flatnonzero(~escaped)
-    converged = ok[_norms(np.column_stack(gradient(p[ok, 0], p[ok, 1]))) < GRAD_REFINE_TOL]
+    gradient = np.column_stack(second_order(p[ok, 0], p[ok, 1])[:2])
+    converged = ok[_norms(gradient) < GRAD_REFINE_TOL]
     refined = [None] * len(p)
     for k in converged.tolist():
         refined[k] = p[k] + 0.0  # normalize -0.0 coordinates
@@ -462,19 +439,13 @@ def quadratic_part(generator, point) -> tuple[float, np.ndarray, SymMat2]:
     """Second-order Taylor data of P at a point: value, gradient, Q2.
 
     Q2 is half the Hessian, so P(point + u) = value + grad.u + u.Q2.u + ...
-    Polynomials are recentered exactly; periodic generators use analytic
-    mode-sum derivatives.  A non-finite point is a ValueError.
+    All come from one :meth:`PlanarJet.partials` call; one out of float range
+    is inf or nan, with no numpy warning.  A non-finite point is a ValueError.
     """
     x, y = _plane_point(point)
-    if isinstance(generator, Poly2):
-        q = generator.taylor_shift(x, y)
-        value = q.coeff(0, 0)
-        grad = np.array([q.coeff(1, 0), q.coeff(0, 1)])
-        q2 = SymMat2(xx=q.coeff(2, 0), xy=0.5 * q.coeff(1, 1), yy=q.coeff(0, 2))
-        return value, grad, q2
-    value, gx, gy, hxx, hxy, hyy = PlanarJet(generator).partials(
-        ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), x, y)
-    return float(value), np.array([gx, gy]), SymMat2(xx=0.5 * hxx, xy=0.5 * hxy, yy=0.5 * hyy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, gx, gy, hxx, hxy, hyy = PlanarJet(generator).partials(_QUADRATIC_ORDERS, x, y)
+    return value, np.array([gx, gy]), SymMat2(xx=0.5 * hxx, xy=0.5 * hxy, yy=0.5 * hyy)
 
 
 def _plane_point(point) -> tuple[float, float]:
@@ -576,14 +547,10 @@ def transverse_confinement(field: Field, generator, point) -> tuple[float, float
     overflows included), and ValueError at a non-finite point.
     """
     x, y = _plane_point(point)
-    jet = PlanarJet(generator)
-    try:
-        value = float(jet.value(x, y))
-    except OverflowError:  # a Python float power in Poly2.eval: |P| is far from 0
-        value = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # |P| is far from 0 then
+        value, *grad = PlanarJet(generator).partials(_QUADRATIC_ORDERS[:3], x, y)
     if not abs(value) < NODE_P_TOL:  # nan fails too
         raise NotALinePointError(f"point ({x}, {y}) is not on the null set: |P|={abs(value):.3g}")
-    grad = jet.grad(x, y)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm <= LINE_GRAD_FLOOR:
         raise NotALinePointError(
@@ -629,6 +596,8 @@ def threshold_scan(family, point, param_range) -> float:
     halvings).  A nan pivot or an infinite range is a ValueError.
     """
     lo, hi = (float(v) for v in param_range)
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"parameter range [{lo}, {hi}] is not finite")
 
     def pivot(c):
         f = _form_determinant(family(c), point)
@@ -646,8 +615,6 @@ def threshold_scan(family, point, param_range) -> float:
             f"no classification change in [{lo}, {hi}]: the node stays "
             f"{'a crossing' if f_lo < 0 else 'definite'} across the range")
     a, step = lo, hi - lo
-    if not math.isfinite(step):
-        raise ValueError(f"parameter range [{lo}, {hi}] is not finite")
     while True:
         step *= 0.5
         mid = a + step

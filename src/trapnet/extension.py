@@ -238,7 +238,7 @@ def _open(c):
     return c if bits.shape == c.shape else bits.view(np.float64).copy()
 
 
-def _on_open_axes(evaluate, *coords) -> list:
+def _on_open_axes(evaluate, *coords, arrays=False) -> list:
     """``evaluate(*coords)``, a list of values, on arrays of the points' broadcast shape.
 
     Every front end of ``Field`` and ``PlanarJet`` evaluates here, through
@@ -247,14 +247,20 @@ def _on_open_axes(evaluate, *coords) -> list:
     dense grid costs what its sparse ``np.meshgrid`` axes cost.  Evaluation is
     elementwise, and numpy's ufuncs give an element the same bits at any array
     length or stride, so the results are the dense grid's bit for bit.
+
+    The polynomial front ends pass ``arrays``: a coordinate that is not an array
+    goes in as a 0-d float64 array, so that a point takes numpy's array power,
+    as a grid does, and a point's values come back as floats.
     """
-    coords = [_float64(c) for c in coords]  # before the cut, which takes float64 only
-    # a point is checked first, as np.shape of a float costs microseconds
-    if not any(isinstance(c, np.ndarray) for c in coords):
-        return evaluate(*coords)
+    # float64 before the cut, which takes float64 only
+    coords = [_float64(c) if isinstance(c, np.ndarray) or not arrays
+              else np.asarray(c, dtype=np.float64) for c in coords]
+    # a point is checked first: np.shape of a float and np.broadcast_shapes cost microseconds
+    if not any(getattr(c, "ndim", 0) for c in coords):
+        return [float(v) for v in evaluate(*coords)]
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
     values = evaluate(*(_open(c) for c in coords))
-    return [np.broadcast_to(v, shape) for v in values] if shape else values
+    return [np.broadcast_to(v, shape) for v in values]
 
 
 class Field:
@@ -266,7 +272,8 @@ class Field:
     """
 
     def __init__(self, potential, params: TrapParams | None = None):
-        if isinstance(potential, ZSeries):
+        self._arrays = isinstance(potential, ZSeries)
+        if self._arrays:
             self._engine = Partials(potential)
         elif isinstance(potential, FourierField):
             self._engine = potential
@@ -281,7 +288,8 @@ class Field:
 
     def partials(self, orders, x, y, z) -> list:
         """Analytic partial derivatives, one per (nx, ny, nz) order (:func:`_on_open_axes`)."""
-        return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y, z)
+        return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y, z,
+                             arrays=self._arrays)
 
     def _at_point(self, method: str, orders, x, y, z) -> list:
         """``partials`` at one point, for the methods that build tensors of one point."""
@@ -318,7 +326,7 @@ class Field:
         def upp(*p):
             gx, gy, gz = self._engine.partials(_GRADIENT, *p)
             return [self.kappa * (gx * gx + gy * gy + gz * gz)]
-        return _on_open_axes(upp, x, y, z)[0]
+        return _on_open_axes(upp, x, y, z, arrays=self._arrays)[0]
 
     def pseudopotential_gradient(self, x, y, z) -> np.ndarray:
         d = self._at_point("pseudopotential_gradient", _GRADIENT + _HESSIAN, x, y, z)

@@ -536,6 +536,19 @@ def _phase(kx: float, ky: float, x, y):
     return kx * x + ky * y
 
 
+def _wave_coefficients(waves, orders):
+    """Each wave as (kx, ky, [(index, c, order)]) over the orders (nx, ny, ...)
+    whose coefficient ``c = amp * (1j*kx)**nx * (1j*ky)**ny`` is nonzero."""
+    for kx, ky, amp in waves:
+        coeffs = []
+        for i, order in enumerate(orders):
+            factor = (1j * kx) ** order[0] * (1j * ky) ** order[1]
+            if factor != 0:
+                coeffs.append((i, amp * factor, order))
+        if coeffs:
+            yield kx, ky, coeffs
+
+
 def mode_sum(waves, orders, x, y, kernel=None) -> list:
     """Real part of the sum of amp * (i kx)**nx * (i ky)**ny * exp(i (kx x + ky y))
     over ``waves`` of (kx, ky, amp), one per order (nx, ny, ...).
@@ -564,14 +577,7 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     for order in orders:
         check_order(order)
     accs = [0.0] * len(orders)
-    for kx, ky, amp in waves:
-        coeffs = []
-        for i, order in enumerate(orders):
-            factor = (1j * kx) ** order[0] * (1j * ky) ** order[1]
-            if factor != 0:
-                coeffs.append((i, amp * factor, order))
-        if not coeffs:
-            continue
+    for kx, ky, coeffs in _wave_coefficients(waves, orders):
         phase = _phase(kx, ky, x, y)
         parts, kernels = {}, {}  # cos, sin or exp of the phase; kernel by order[2:]
         for i, c, order in coeffs:

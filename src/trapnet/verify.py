@@ -60,8 +60,12 @@ class VerifyConfig:
     window: tuple = (-0.75, 0.75, -0.75, 0.75, -0.75, 0.75)
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        for name, least in (("samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.samples > MAX_SAMPLES:
             raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
         _validate_step(self.h)

@@ -1,4 +1,7 @@
+import importlib
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,10 +463,24 @@ def test_non_finite_points_are_refused(point):
 
 
 def test_overflowing_point_is_not_a_line_point():
-    # Poly2.eval's Python float power x**3 overflows at 1e200
+    # x^3 overflows to inf at 1e200
     gen = catalog("cusp").compile()
     with pytest.raises(NotALinePointError, match=r"\|P\|=inf"):
         transverse_confinement(synthesize(gen), gen, (1e200, 1e133))
+
+
+def test_an_overflowing_point_raises_no_numpy_warning():
+    # x^3 overflows at 1e200, so P is -inf there and the point is refused
+    gen = catalog("cusp").compile()
+    point = (1e200, 1e133)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad, _ = quadratic_part(gen, point)
+        with pytest.raises(NotANodeError, match=r"\|P\|=inf"):
+            classify_node(gen, point)
+        with pytest.raises(NotALinePointError, match=r"\|P\|=inf"):
+            transverse_confinement(synthesize(gen), gen, point)
+    assert value == -math.inf and grad.tolist() == [-math.inf, 2e133]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -475,3 +492,18 @@ def test_nan_plane_data_is_neither_node_nor_line_point():
     with pytest.raises(NotALinePointError, match=r"\|P\|=nan"):
         transverse_confinement(synthesize(gen), gen, (1e308, 1e308))
 
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_node_reports_and_critical_points_share_the_gradient(monkeypatch, seed):
+    # the benchmark's network-map cusp jobs: classify_node's gradient and the
+    # critical point's come from the same partials at the same point
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    jobs = [job for job in workloads.build("network-map", seed) if ":cusp-" in job.name]
+    assert len(jobs) == 3
+    for job in jobs:
+        _, cps, reports = job.run()
+        nodes = [cp for cp in cps if cp.is_node]
+        assert len(reports) == len(nodes) > 0
+        for cp, report in zip(nodes, reports):
+            assert float(np.linalg.norm(report.gradient)) == cp.grad_norm, job.name

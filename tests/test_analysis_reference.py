@@ -545,8 +545,9 @@ def test_sextic_newton_takes_high_powers_point_by_point():
 
 
 def test_float_power_is_the_scalar_power():
-    # the Newton batch's power tables come from np.float_power; a point
-    # evaluation raises one np.float64 at a time
+    # Poly2.eval at np.float64 points raises one np.float64 at a time, and
+    # np.float_power gives an array those bits; the front ends and the Newton
+    # batch take numpy's array power instead, at points and on arrays alike
     rng = np.random.default_rng(0)
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0]
     a = np.concatenate([rng.uniform(-3.0, 3.0, 2000), rng.normal(size=2000) * 1e3,

@@ -552,6 +552,14 @@ def test_verify_refuses_a_run_that_checks_nothing(capsys, flags, message):
     assert message in captured.err
 
 
+def test_verify_refuses_a_negative_seed_by_name(capsys):
+    # refused by VerifyConfig, before numpy's random generator sees it
+    assert main(["verify", "cusp", "--seed", "-1", "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be at least 0, got -1\n"
+
+
 def test_verify_refuses_more_samples_than_the_cap(capsys):
     # refused before the sample points are drawn: no memory error traceback
     assert main(["verify", "cusp", "--samples", "1000000000000"]) == 2
@@ -606,7 +614,7 @@ def test_analyze_refuses_a_non_finite_point(capsys, point):
 
 
 @pytest.mark.parametrize("spec, point, size", [
-    ("cusp", "1e200,1e133", "inf"),  # x^3 overflows a Python float power
+    ("cusp", "1e200,1e133", "inf"),  # x^3 overflows to inf
     ("round", "1e308,1e308", "nan"),  # pi*x overflows, and the mode sum is nan
 ])
 def test_analyze_overflowing_point_is_off_the_network(spec, point, size):

@@ -411,21 +411,15 @@ def test_zero_field_values_have_the_points_shape(gen):
     np.testing.assert_array_equal(PlanarJet(gen).value(xs, xs), np.zeros(5), strict=True)
 
 
-class CountedFloat(float):
-    """Scalar coordinate that counts each ``base ** n`` taken of it."""
-
-    def __pow__(self, n):
-        self.powers[n] += 1
-        return float(self) ** n
-
-
 def test_scalar_partials_take_each_power_of_x_and_y_once():
+    # a point goes to the engine as 0-d arrays, so a 0-d CountedPowers is a point
     fld = synthesize(parse_polynomial("(0.7*x^2 + 1.1*x*y + 0.9*y^2 + 1)^4"))
     orders = [(i, j, k) for i in range(3) for j in range(3) for k in range(2)]
-    x, y = CountedFloat(0.3), CountedFloat(-0.6)
+    x, y = (np.array(v).view(CountedPowers) for v in (0.3, -0.6))
     for c in (x, y):
         c.powers = collections.Counter()
     values = fld.partials(orders, x, y, 0.2)
+    assert all(type(v) is float for v in values)
     assert values == fld.partials(orders, 0.3, -0.6, 0.2)
     for c in (x, y):
         assert sorted(c.powers) == list(range(9))

@@ -252,6 +252,20 @@ def _engine_quantities(gen):
     }
 
 
+@pytest.mark.parametrize("text", ["x^6 - 2*x^3*y^2 + y^4 - 0.25", "y^2 - x^3"])
+def test_a_polynomial_point_has_the_bits_it_has_inside_an_array(text):
+    # Python's float power differs from numpy's array power in the last bit
+    # for a few percent of these points; a point takes numpy's
+    rng = np.random.default_rng(0)
+    coords = rng.uniform(-3.0, 3.0, (3, 2000))
+    for quantity, (front, _) in _engine_quantities(parse_polynomial(text)).items():
+        on_array = np.array(front(*coords))
+        at_points = [front(*point) for point in coords.T.tolist()]
+        if not quantity.endswith("gradient"):  # the gradients are arrays
+            assert all(type(v) is float for values in at_points for v in values), quantity
+        assert np.array(at_points).T.tobytes() == on_array.tobytes(), quantity
+
+
 @pytest.mark.parametrize("grid", CUT_GRIDS)
 @pytest.mark.parametrize("name", CUT_GENERATORS)
 def test_front_ends_give_dense_and_sparse_grids_the_same_bits(name, grid):

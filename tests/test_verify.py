@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -248,3 +249,23 @@ def test_sample_count_is_capped_at_the_grid_limit():
     VerifyConfig(samples=verify.MAX_SAMPLES)
     with pytest.raises(ValueError, match=f"samples must be at most {verify.MAX_SAMPLES}"):
         VerifyConfig(samples=verify.MAX_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("samples", 2.5), ("samples", True), ("samples", "3"), ("samples", np.float64(3.0)),
+    ("seed", 1.5), ("seed", False), ("seed", None),
+])
+def test_sample_count_and_seed_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        VerifyConfig(**{field: value})
+
+
+def test_seed_must_be_non_negative():
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        VerifyConfig(seed=-1)
+
+
+def test_numpy_integer_sample_count_and_seed_are_accepted():
+    config = VerifyConfig(samples=np.int64(12), seed=np.uint8(3))
+    assert run_checks(synthesize(CUSP), CUSP, config) == \
+        run_checks(synthesize(CUSP), CUSP, VerifyConfig(samples=12, seed=3))
