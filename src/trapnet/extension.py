@@ -123,24 +123,35 @@ def cauchy_extend(phi0: Poly2, phi1: Poly2) -> ZSeries:
 # periodic continuation
 # ----------------------------------------------------------------------
 
-def _sinh_kernel(k: float, z, order: int):
+def _sinh_kernel(k, z, order: int):
     """order-th z-derivative of sinh(k z)/k, stable near the plane.
 
     Even orders give k**(order-1) * sinh(k z), odd orders
-    k**(order-1) * cosh(k z).
+    k**(order-1) * cosh(k z).  ``k`` is a float, or an array of them at a
+    scalar z; its powers are Python float powers either way.
     """
     z = np.asarray(z, dtype=float)
     kz = k * z
     if order % 2 == 1:
-        return k ** (order - 1) * np.cosh(kz)
+        return _python_powers(k, order - 1) * np.cosh(kz)
     if order == 0:
         out = np.asarray(np.sinh(kz) / k)
         # the series only where it is used: z**3 is a libm pow per element
         small = np.abs(kz) < _SMALL_KZ
-        zs = z[small]
-        out[small] = zs + k * k * zs ** 3 / 6.0
+        if np.ndim(k):  # the same series of each element, picked where it is used
+            out[small] = (z + k * k * z ** 3 / 6.0)[small]
+        else:
+            zs = z[small]
+            out[small] = zs + k * k * zs ** 3 / 6.0
         return out
-    return k ** (order - 1) * np.sinh(kz)
+    return _python_powers(k, order - 1) * np.sinh(kz)
+
+
+def _python_powers(k, n: int):
+    """``k ** n`` for a float k; for an array, each element's power as a Python float's."""
+    if not np.ndim(k):
+        return k ** n
+    return np.array([v ** n for v in k.tolist()])
 
 
 class FourierField:
@@ -178,6 +189,11 @@ class FourierField:
         Each mode's plane wave is computed once and shared by every order.
         """
         def kernel(kx, ky, order):
+            if isinstance(kx, np.ndarray):  # mode_sum's point pass: one value per wave
+                if np.ndim(z):
+                    return None  # the loop forms the sums
+                k = np.array(list(map(math.hypot, kx.tolist(), ky.tolist())))
+                return _sinh_kernel(k, z, order[2])
             return _sinh_kernel(math.hypot(kx, ky), z, order[2])
 
         out = mode_sum(self._waves, orders, x, y, kernel)

@@ -16,22 +16,32 @@ Expression grammar (both families share it)::
              | ("cos"|"sin") "(" linform ")"
     linform := expr that reduces to a*x + b*y + d with numeric a, b, d
 
-Expressions are compiled while they are parsed, with no syntax tree: each
-family supplies its leaves (numbers, x, y, cos/sin) and every operator is
-applied in source order by the values' own arithmetic (``Poly2``, a list of
-plane waves, or a trig argument a*x + b*y + d that must stay linear), so the
-first error in source order is reported.  Trig calls are rejected in
-polynomial mode; bare x/y are rejected in Fourier mode (only constants may
-appear outside trig arguments).  Parameter names are substituted numerically.
+The parser builds no syntax tree: each family supplies its leaves (numbers,
+x, y, cos/sin) and every operator is applied in source order by the values'
+own arithmetic (``Poly2``, a list of plane waves, or a trig argument
+a*x + b*y + d that must stay linear), so the first error in source order is
+reported.  Trig calls are rejected in polynomial mode; bare x/y are rejected
+in Fourier mode (only constants may appear outside trig arguments).
+
+A text is compiled once per family, set of parameter names and periods, and
+kept in a bounded memo.  A text without parameters compiles to its generator.
+Otherwise it compiles to a program: every value that depends on no parameter
+is computed once, and a parameter leaf and each operation above it are
+replayed in source order whenever values are bound.  Those are the same
+float operations on the same operands as a parse with the values bound, so
+a bound program gives the same bits and the same first error.  A text whose
+program cannot be built is parsed in one pass, values bound, at every call.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
+import operator
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +77,10 @@ MAX_WAVES = 2**18
 # dense linear factors to degree 64, 128 or 192 took about 0.1, 1 or 11 s
 # (Python 3.11 on a 2-vCPU Xeon)
 MAX_DEGREE = 128
-# longest expression text whose tokens are memoized: with 32 texts at most,
-# the memo holds about 3 MB at worst; a longer text is tokenized afresh
-_MEMO_TEXT = 1024
+# most weight the memo of compiled texts and point tables keeps (_weight,
+# _point_sum): filled with generators, programs or tables of any one kind it
+# held 0.5-2.4 MB (tracemalloc, Python 3.11)
+_MEMO_WEIGHT = 2**14
 
 
 class GeneratorError(ValueError):
@@ -99,10 +110,7 @@ class _Token:
     pos: int
 
 
-@functools.lru_cache(maxsize=32)
-def _tokenize(src: str) -> tuple[_Token, ...]:
-    """The tokens of ``src``, memoized per text: parameters bind later, in the
-    parser, so a family rebuilt for each parameter value tokenizes once."""
+def _tokenize(src: str) -> list[_Token]:
     tokens = []
     pos = 0
     while pos < len(src):
@@ -126,15 +134,16 @@ def _tokenize(src: str) -> tuple[_Token, ...]:
             continue
         raise ParseError(f"unexpected character {ch!r}", pos)
     tokens.append(_Token("end", "", len(src)))
-    return tuple(tokens)
+    return tokens
 
 
 class _Parser:
-    """Recursive-descent parser that compiles as it goes; ``family`` makes
-    the leaves and the values' own ``+ - * ** unary-`` apply the operators."""
+    """Recursive-descent parser that compiles as it goes, in one pass with its
+    parameters bound; ``family`` makes the leaves and the values' own
+    ``+ - * ** unary-`` apply the operators, each through :meth:`apply`."""
 
-    def __init__(self, src: str, family, params: dict):
-        self.tokens = (_tokenize if len(src) <= _MEMO_TEXT else _tokenize.__wrapped__)(src)
+    def __init__(self, src: str, family, params):
+        self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
         self.family = family
@@ -168,20 +177,20 @@ class _Parser:
             self.advance()
             value = self.term()
             if tok.kind == "-":
-                value = -value
+                value = self.apply(operator.neg, value)
         else:
             value = self.term()
         while self.peek().kind in "+-":
             op = self.advance()
             rhs = self.term()
-            value = value + rhs if op.kind == "+" else value - rhs
+            value = self.apply(operator.add if op.kind == "+" else operator.sub, value, rhs)
         return value
 
     def term(self):
         value = self.factor()
         while self.peek().kind == "*":
             op = self.advance()
-            value = self.product(op, value, self.factor())
+            value = self.apply(self.product, op, value, self.factor())
         return value
 
     def factor(self):
@@ -198,10 +207,11 @@ class _Parser:
                 raise ParseError(
                     f"exponent {tok.text!r} exceeds the limit of {MAX_EXPONENT}", tok.pos)
             self.advance()
-            value = self.product(caret, value, int(exponent))
+            value = self.apply(self.product, caret, value, int(exponent))
         return value
 
-    def product(self, op: _Token, lhs, rhs):
+    @staticmethod
+    def product(op: _Token, lhs, rhs):
         """``lhs * rhs``, or ``lhs ** rhs`` after a caret."""
         if isinstance(lhs, Poly2):  # refused before it is expanded
             degree = lhs.degree * rhs if op.kind == "^" else lhs.degree + rhs.degree
@@ -238,12 +248,19 @@ class _Parser:
             self.expect("(")
             arg = self.nested(tok, family)
             self.expect(")")
-            return self.family.call(tok, arg)
+            return self.apply(self.family.call, tok, arg)
         if tok.text == "pi":
             return self.family.number(math.pi)
         if tok.text in self.params:
-            return self.family.number(self.finite(float(self.params[tok.text]), tok))
+            return self.parameter(tok)
         raise ParseError(f"unbound parameter {tok.text!r}", tok.pos)
+
+    @staticmethod
+    def apply(fn, *args):
+        return fn(*args)
+
+    def parameter(self, tok: _Token):
+        return _number(self.family.number, tok, self.params)
 
     def nested(self, opener: _Token, family):
         """Compile the expression inside parentheses, one nesting level down."""
@@ -384,20 +401,6 @@ def _check_waves(count: int):
     if count > MAX_WAVES:
         raise _Refused(
             f"the product expands to {count} plane waves, more than the limit of {MAX_WAVES}")
-
-
-def parse_polynomial(expr: str, params: dict | None = None) -> Poly2:
-    """Compile a polynomial expression in x and y to a sparse polynomial.
-
-    Parameter names in ``params`` are substituted numerically before
-    expansion.  Trig calls, negative exponents, unbound names and numbers
-    that are not finite raise :class:`ParseError` with the offending
-    position; a coefficient that overflows raises :class:`GeneratorError`.
-    """
-    poly = _Parser(expr, _Polynomial, params or {}).parse()
-    if not all(map(math.isfinite, poly.terms.values())):
-        raise GeneratorError("a polynomial coefficient overflows")
-    return poly
 
 
 @dataclass(frozen=True, order=True)
@@ -573,7 +576,24 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     ``(c * K * exp(1j*phase)).real``: a general c, where numpy's array product
     may fuse its multiply and subtraction, and a c or kernel that is not
     finite everywhere, where ``0 * inf`` makes the complex product nan.
+
+    At a point, finite float coordinates x and y, the sums are formed in one
+    array pass over the waves instead (:class:`_PointTable`), with the same
+    bits: every term is ``(c.real*K)*cos(phase) - (c.imag*K)*sin(phase)``,
+    which is the real or imaginary form above when one part of c is zero, and
+    numpy's scalar complex product, which does not fuse, when neither is.
+    The kernel is then called once per distinct ``order[2:]``, with arrays of
+    the waves' kx and ky, and gives an array of one value per wave; anything
+    else, such as None, leaves the sums to the loop.  The terms of a wave
+    whose coefficient is zero at an order are +-0.0, and ``np.add.accumulate``
+    adds each order's terms in wave order; plus 0.0, the sum is the loop's
+    sum from +0.0.  Where a coefficient or kernel value is not finite, the
+    sums are formed by the loop too.
     """
+    if isinstance(x, float) and isinstance(y, float) and math.isfinite(x) and math.isfinite(y):
+        sums = _point_sum(waves, orders, x, y, kernel)
+        if sums is not None:
+            return sums
     for order in orders:
         check_order(order)
     accs = [0.0] * len(orders)
@@ -605,22 +625,274 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     return [float(r) if np.ndim(r) == 0 else r for r in accs]
 
 
-def parse_fourier(expr: str, periods: tuple[float, float],
-                  params: dict | None = None) -> FourierGen:
-    """Compile a periodic trig-polynomial expression to a Fourier mode set.
+class _PointTable:
+    """What a mode sum at a point needs of its wavevectors and orders.
 
-    Products and powers of cos/sin are expanded into plane waves; every
-    resulting wavevector must sit on the integer lattice (2*pi*m/Lx,
-    2*pi*n/Ly) within a relative tolerance of 1e-9, otherwise the mode is
-    rejected as incommensurate with the declared periods.  Each distinct
-    wavevector is checked once, and the amplitudes of waves on one mode are
-    summed in wave order, the sums :class:`FourierGen` would form.
+    ``rows`` are the waves with a nonzero coefficient at some order, as
+    :func:`_wave_coefficients` finds them, and ``fr`` and ``fi`` the real and
+    imaginary parts of each one's factor ``(1j*kx)**nx * (1j*ky)**ny`` per
+    order.  A factor has a zero part wherever it is finite, so ``amp *
+    factor`` has the bits of ``(ar*fr - ai*fi) + (ar*fi + ai*fr)j`` in real
+    arithmetic; a table where that does not hold is not ``usable``.
+    ``kernel_orders`` holds the first order of each distinct ``order[2:]``,
+    and ``columns`` the index of each order's.
     """
-    waves = _Parser(expr, _Waves, params or {}).parse()
+
+    __slots__ = ("rows", "kx", "ky", "along_x", "along_y", "fr", "fi", "usable",
+                 "kernel_orders", "columns")
+
+    def __init__(self, wavevectors, orders):
+        self.rows, factors = [], []
+        for w, (kx, ky) in enumerate(wavevectors):
+            row = [(1j * kx) ** order[0] * (1j * ky) ** order[1] for order in orders]
+            if any(row):
+                self.rows.append(w)
+                factors.append(row)
+        f = np.array(factors, dtype=complex).reshape(len(self.rows), len(orders))
+        self.fr, self.fi = f.real.copy(), f.imag.copy()
+        self.usable = bool(np.isfinite(f).all() and not ((self.fr != 0) & (self.fi != 0)).any())
+        self.kx = np.array([wavevectors[w][0] for w in self.rows], dtype=float)
+        self.ky = np.array([wavevectors[w][1] for w in self.rows], dtype=float)
+        # _phase's axial rule: kx*x where ky == 0, ky*y where only kx == 0
+        self.along_x = self.ky == 0.0
+        self.along_y = (self.kx == 0.0) & ~self.along_x
+        first = {}
+        for order in orders:
+            first.setdefault(order[2:], order)
+        index = {key: i for i, key in enumerate(first)}
+        self.kernel_orders = list(first.values())
+        self.columns = np.array([index[order[2:]] for order in orders], dtype=np.intp)
+
+
+_WAVEVECTOR = operator.itemgetter(0, 1)
+
+
+def _point_sum(waves, orders, x: float, y: float, kernel) -> list | None:
+    """``mode_sum`` at one finite point in one array pass, or None where the
+    loop must form the sums: there :func:`check_order` checks the orders, and
+    here every count must be an int >= 0, which it passes.  (A numpy integer
+    count takes numpy's complex power in :func:`_wave_coefficients`.)"""
+    orders = tuple(map(tuple, orders))
+    counts = [n for order in orders for n in order]
+    if not ({int}.issuperset(map(type, counts)) and min(counts, default=0) >= 0):
+        return None
+    key = (_PointTable, tuple(map(_WAVEVECTOR, waves)), orders)
+    table = _MEMO.get(key)
+    if table is None:
+        table = _PointTable(key[1], orders)
+        _MEMO.put(key, table, len(waves) + len(orders) + table.fr.size)
+    if not table.usable:
+        return None
+    if not table.rows:
+        return [0.0] * len(orders)
+    amps = np.array([waves[w][2] for w in table.rows], dtype=complex)
+    ar, ai = amps.real[:, None], amps.imag[:, None]
+    cr = ar * table.fr - ai * table.fi
+    ci = ar * table.fi + ai * table.fr
+    if kernel is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # the loop warns, if it must run
+            k = []
+            for order in table.kernel_orders:
+                k.append(kernel(table.kx, table.ky, order))
+                if np.shape(k[-1]) != table.kx.shape:
+                    return None
+            k = np.stack(k, axis=-1)[:, table.columns]
+            cr, ci = cr * k, ci * k
+    if not (np.isfinite(cr).all() and np.isfinite(ci).all()):
+        return None
+    px, py = table.kx * x, table.ky * y
+    phase = np.where(table.along_x, px, np.where(table.along_y, py, px + py))
+    terms = cr * np.cos(phase)[:, None] - ci * np.sin(phase)[:, None]
+    return (np.add.accumulate(terms)[-1] + 0.0).tolist()
+
+
+# ----------------------------------------------------------------------
+# programs: a text compiled once for its parameter names
+# ----------------------------------------------------------------------
+
+def _number(number, tok: _Token, params: dict):
+    """The leaf of parameter ``tok`` with its value in ``params``."""
+    return number(_Parser.finite(float(params[tok.text]), tok))
+
+
+class _Slot(int):
+    """An operand that depends on a parameter: the index of the step that gives it."""
+
+
+_PARAMS = object()  # the operand a parameter step takes its values from
+
+
+class _Builder(_Parser):
+    """The parser that builds a :class:`_Program`.
+
+    Values that depend on no parameter are computed as the one-pass parser
+    computes them.  A parameter leaf, and each operation with an operand that
+    depends on one, is recorded as a step instead, in source order.
+    """
+
+    def __init__(self, src: str, family, names):
+        super().__init__(src, family, names)
+        self.steps = []
+        self.fixed_waves = True  # no parameter inside a trig argument
+
+    def apply(self, fn, *args):
+        if any(type(a) is _Slot for a in args):
+            return self.step(fn, args)
+        return fn(*args)
+
+    def parameter(self, tok: _Token):
+        if self.family is _Linear:
+            self.fixed_waves = False
+        return self.step(_number, (self.family.number, tok, _PARAMS))
+
+    def step(self, fn, args) -> _Slot:
+        self.steps.append((fn, args))
+        return _Slot(len(self.steps) - 1)
+
+
+class _Program:
+    """The steps of a text that depend on its parameters, with every operand
+    that does not computed once.
+
+    :meth:`bind` replays the steps in source order: the same operations on the
+    same operands as a one-pass parse with the parameters bound, so the same
+    bits and the same first error.  When no wavevector depends on a
+    parameter, ``keys`` keeps the mode of each wave after the first bind.
+    """
+
+    __slots__ = ("steps", "fixed_waves", "keys")
+
+    def __init__(self, steps: list, fixed_waves: bool):
+        self.steps = steps
+        self.fixed_waves = fixed_waves
+        self.keys = None
+
+    def bind(self, params: dict):
+        values = []
+        for fn, args in self.steps:
+            values.append(fn(*[values[a] if type(a) is _Slot else params if a is _PARAMS else a
+                               for a in args]))
+        return values[-1]
+
+
+class _Memo:
+    """Least recently used entries, kept while their weights add up to at most ``budget``."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.weight = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, weight)
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        """The value kept for ``key``, or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, value, weight: int) -> None:
+        """Keep ``value`` for ``key``, evicting the least recently used entries;
+        an entry heavier than the whole budget is not kept."""
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.weight -= old[1]
+            if weight > self.budget:
+                return
+            self._entries[key] = value, weight
+            self.weight += weight
+            while self.weight > self.budget:
+                self.weight -= self._entries.popitem(last=False)[1][1]
+
+
+# programs, generators and point tables (see mode_sum), by text or wavevectors
+_MEMO = _Memo(_MEMO_WEIGHT)
+_UNBUILT = object()  # a text whose program could not be built
+
+
+def _weight(expr: str, entry) -> int:
+    """What a compiled entry keeps: its text, and its steps, plane waves,
+    polynomial terms, modes and wave modes, one each."""
+    if isinstance(entry, _Program):
+        return (len(expr) + len(entry.steps) + len(entry.keys or ())
+                + sum(_size(a) for _, args in entry.steps for a in args))
+    return len(expr) + _size(entry)
+
+
+def _size(value) -> int:
+    if isinstance(value, Poly2):
+        return len(value.terms)
+    if isinstance(value, FourierGen):
+        return len(value.modes)
+    return len(value) if isinstance(value, _Waves) else 0
+
+
+def _compile(expr: str, family, params: dict, periods=None):
+    """The generator of ``expr`` with ``params`` bound, through the memo.
+
+    A text is built once per family, parameter names and periods: to its
+    generator when it uses no parameter, otherwise to a :class:`_Program`.  A
+    text whose build raises is kept as such, and compiled in one pass with
+    the parameters bound at every call, so its errors keep their source
+    order and it is not built again.
+    """
+    key = (family, expr, frozenset(params), periods)
+    entry = _MEMO.get(key)
+    if entry is None:
+        entry = _build(expr, family, key[2], periods)
+        _MEMO.put(key, entry, _weight(expr, entry))
+    if entry is _UNBUILT:
+        return _finish(_Parser(expr, family, params).parse(), periods)
+    if not isinstance(entry, _Program):
+        return entry
+    known = entry.keys is not None
+    generator = _finish(entry.bind(params), periods, entry)
+    if not known and entry.keys is not None:  # the memo weighs the kept modes too
+        _MEMO.put(key, entry, _weight(expr, entry))
+    return generator
+
+
+def _build(expr: str, family, names, periods):
+    """The generator or program of a text, or _UNBUILT where building raises."""
+    try:
+        builder = _Builder(expr, family, names)
+        value = builder.parse()
+        if builder.steps:
+            return _Program(builder.steps, builder.fixed_waves)
+        return _finish(value, periods)
+    except GeneratorError:
+        return _UNBUILT
+
+
+def _finish(value, periods, program: _Program | None = None):
+    """The generator of a parsed value: a Poly2 whose coefficients are finite
+    when ``periods`` is None, else the FourierGen of a list of waves."""
+    if periods is None:
+        if not all(map(math.isfinite, value.terms.values())):
+            raise GeneratorError("a polynomial coefficient overflows")
+        return value
     lx, ly = float(periods[0]), float(periods[1])
-    indices: dict[tuple[float, float], tuple[int, int]] = {}
+    keys = program.keys if program is not None else None
+    if keys is None:
+        keys = _wave_modes(value, lx, ly)
+        if program is not None and program.fixed_waves:
+            program.keys = keys
     sums: dict[tuple[int, int], complex] = {}
-    for a, b, amp in waves:
+    for key, (_, _, amp) in zip(keys, value):
+        # FourierGen's own sum, in wave order; from +0.0 it is never -0.0,
+        # so FourierGen adding it to 0j leaves every bit
+        sums[key] = sums.get(key, 0.0 + 0.0j) + complex(amp)
+    return FourierGen((lx, ly), [FourierMode(m, n, amp) for (m, n), amp in sums.items()])
+
+
+def _wave_modes(waves, lx: float, ly: float) -> list[tuple[int, int]]:
+    """The mode (m, n) of each wave; each distinct wavevector is checked once."""
+    indices: dict[tuple[float, float], tuple[int, int]] = {}
+    keys = []
+    for a, b, _ in waves:
         key = indices.get((a, b))
         if key is None:
             m = a * lx / (2 * math.pi)
@@ -632,10 +904,33 @@ def parse_fourier(expr: str, periods: tuple[float, float],
                     f"wavevector ({a:g}, {b:g}) is incommensurate with periods "
                     f"({lx:g}, {ly:g}): mode indices ({m:g}, {n:g}) are not integers")
             key = indices[(a, b)] = (round(m), round(n))
-        # FourierGen's own sum, in wave order; from +0.0 it is never -0.0,
-        # so FourierGen adding it to 0j leaves every bit
-        sums[key] = sums.get(key, 0.0 + 0.0j) + complex(amp)
-    return FourierGen((lx, ly), [FourierMode(m, n, amp) for (m, n), amp in sums.items()])
+        keys.append(key)
+    return keys
+
+
+def parse_polynomial(expr: str, params: dict | None = None) -> Poly2:
+    """Compile a polynomial expression in x and y to a sparse polynomial.
+
+    Parameter names in ``params`` are bound before expansion.  Trig calls,
+    negative exponents, unbound names and numbers that are not finite raise
+    :class:`ParseError` with the offending position; a coefficient that
+    overflows raises :class:`GeneratorError`.
+    """
+    return _compile(expr, _Polynomial, params or {})
+
+
+def parse_fourier(expr: str, periods: tuple[float, float],
+                  params: dict | None = None) -> FourierGen:
+    """Compile a periodic trig-polynomial expression to a Fourier mode set.
+
+    Products and powers of cos/sin are expanded into plane waves; every
+    resulting wavevector must sit on the integer lattice (2*pi*m/Lx,
+    2*pi*n/Ly) within a relative tolerance of 1e-9, otherwise the mode is
+    rejected as incommensurate with the declared periods.  Each distinct
+    wavevector is checked once, and the amplitudes of waves on one mode are
+    summed in wave order, the sums :class:`FourierGen` would form.
+    """
+    return _compile(expr, _Waves, params or {}, tuple(periods))
 
 
 # ----------------------------------------------------------------------

@@ -68,6 +68,8 @@ class VerifyConfig:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.samples > MAX_SAMPLES:
             raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
+        if isinstance(self.h, bool) or not isinstance(self.h, (int, float, np.integer, np.floating)):
+            raise ValueError(f"h must be a real number, got {self.h!r}")
         _validate_step(self.h)
         validate_window(self.window, 3)
 

@@ -544,21 +544,6 @@ def test_sextic_newton_takes_high_powers_point_by_point():
     assert assert_same_newton(gen, (-1.5, 1.5, -1.5, 1.5), 12) == 144
 
 
-def test_float_power_is_the_scalar_power():
-    # Poly2.eval at np.float64 points raises one np.float64 at a time, and
-    # np.float_power gives an array those bits; the front ends and the Newton
-    # batch take numpy's array power instead, at points and on arrays alike
-    rng = np.random.default_rng(0)
-    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0]
-    a = np.concatenate([rng.uniform(-3.0, 3.0, 2000), rng.normal(size=2000) * 1e3,
-                        rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-320, 308, 2000),
-                        special])
-    with np.errstate(all="ignore"):
-        for n in range(65):
-            want = np.array([np.float64(v) ** n for v in a]).tobytes()
-            assert np.float_power(a, n).tobytes() == want, n
-
-
 # ----------------------------------------------------------------------
 # threshold_scan against scipy.optimize.bisect
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ checks every expanded plane wave against the mode lattice and hands
 compile checks each distinct wavevector once and sums the amplitudes of
 equal modes in wave order before ``FourierGen`` sees them.  Both must give
 the same generator, with equal ``repr`` and equal bits in every wave, and the
-same error text.
+same error text.  The reference parses in one pass with the parameters bound
+(``generators._Parser``), not through the memo of built programs that
+``parse_fourier`` now rebinds, so a rebound program is checked here too.
 
 The expressions are ``round`` on both sides of its threshold and at extreme
 c, spec-sweep's four Fourier templates at seeds 0-19, and an expression

@@ -1,4 +1,5 @@
 import math
+import operator
 import time
 
 import numpy as np
@@ -60,30 +61,152 @@ def test_parse_unbound_parameter():
         parse_polynomial("q*x")
 
 
-def test_tokens_are_memoized_per_short_text():
-    # threshold_scan rebuilds one family for each parameter value
-    generators._tokenize.cache_clear()
+# ----------------------------------------------------------------------
+# programs: a text built once per family, parameter names and periods
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty memo in place of the shared one for the test: a test that
+    patches the parser's limits must not meet programs built under others,
+    nor leave its own to later tests."""
+    memo = generators._Memo(generators._MEMO_WEIGHT)
+    monkeypatch.setattr(generators, "_MEMO", memo)
+    return memo
+
+
+def _one_pass(expr, params, periods=None):
+    """The generator of a one-pass parse with the parameters bound."""
+    values = generators._Polynomial if periods is None else generators._Waves
+    return generators._finish(generators._Parser(expr, values, params).parse(), periods)
+
+
+def _outcome(compile_):
+    """repr and bits of a generator, or type, text and position of its error."""
+    try:
+        gen = compile_()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    if isinstance(gen, Poly2):
+        bits = [(key, c.hex()) for key, c in sorted(gen.terms.items())]
+    else:
+        bits = [(kx.hex(), ky.hex(), amp.real.hex(), amp.imag.hex()) for kx, ky, amp in gen.waves]
+    return repr(gen), bits
+
+
+def _compiled(expr, params, periods=None):
+    if periods is None:
+        return parse_polynomial(expr, params)
+    return parse_fourier(expr, periods, params)
+
+
+def _parameter_values(seed: int) -> list[float]:
+    rng = np.random.default_rng(seed)
+    values = [0.0, -0.0, 1e-300, -2.5]
+    values += rng.uniform(-3.0, 3.0, 30).tolist()
+    values += (rng.choice([-1.0, 1.0], 16) * 10.0 ** rng.uniform(-300, 300, 16)).tolist()
+    return values
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_rebinding_a_catalog_text_gives_the_one_pass_generator(fresh_memo, name):
+    spec = catalog(name)
+    # linear and cross take no parameter: an unused name still keys the memo
+    names = list(spec.params) or ["unused"]
+    values = _parameter_values(len(name))
+    assert len(values) == 50
+    for value in values:
+        params = dict.fromkeys(names, value)
+        want = _outcome(lambda: _one_pass(spec.expr, params, spec.periods))
+        got = _outcome(lambda: _compiled(spec.expr, params, spec.periods))
+        assert got == want, value
+
+
+@pytest.mark.parametrize("family, expr, names", [
+    ("polynomial", "y^2 - alpha^2*x^3", ["alpha"]),
+    ("fourier", ROUND_EXPR, ["c"]),
+    ("polynomial", "(alpha*x - c)^3 + c*alpha*y^2 - alpha", ["alpha", "c"]),
+    # a parameter inside a trig argument moves the wavevectors
+    ("fourier", "cos(a*pi*x) + 0.5*sin(pi*y - a)", ["a"]),
+    ("fourier", "(cos(pi*x) + c*sin(a*pi*(x - y)))^3 - c", ["a", "c"]),
+])
+def test_rebinding_gives_the_one_pass_generator(fresh_memo, family, expr, names):
+    periods = (2.0, 2.0) if family == "fourier" else None
+    rng = np.random.default_rng(3)
+    # integer values keep a trig argument's wavevectors on the mode lattice
+    values = _parameter_values(7)[:20] + rng.integers(-3, 4, 20).astype(float).tolist()
+    for value in values:
+        params = {name: value * (k + 1) for k, name in enumerate(names)}
+        want = _outcome(lambda: _one_pass(expr, params, periods))
+        for _ in range(2):
+            assert _outcome(lambda: _compiled(expr, params, periods)) == want, params
+
+
+@pytest.mark.parametrize("family, expr, params", [
+    ("polynomial", "q*x + r", {"q": 1.0}),
+    ("fourier", "c*cos(pi*x) + k", {"c": 1.0}),
+    ("polynomial", "x + big*y", {"big": math.inf}),
+    ("fourier", ROUND_EXPR, {"c": math.nan}),
+    ("fourier", ROUND_EXPR, {"c": -math.inf}),
+    ("polynomial", "c*x", {"c": "abc"}),
+    ("polynomial", "c^64*x", {"c": 1e10}),
+    ("fourier", "c^64*cos(pi*x)", {"c": 1e10}),
+    ("fourier", "cos(c^64*pi*x)", {"c": 1e10}),
+    ("polynomial", "c*x +", {"c": 1.0}),
+    ("fourier", "c*cos(pi*x) )", {"c": 1.0}),
+    ("fourier", "cos(c*pi*x) + cos(x^", {"c": 1.0}),
+    ("polynomial", "(c*x)*x", {"c": 0.0}),
+    ("polynomial", "(c*x)*x", {"c": 1.0}),
+    ("fourier", "cos((c*x)*x)", {"c": 0.0}),
+    ("fourier", "cos((c*x)*x)", {"c": 1.0}),
+    # the first error in source order, whichever parameter raises it
+    ("fourier", "cos((c*x)*x) + cos((d*y)*y)", {"c": 0.0, "d": 1.0}),
+    ("fourier", "cos((c*x)*x) + cos((d*y)*y)", {"c": 1.0, "d": 1.0}),
+    ("fourier", "cos((c*x)*x) + cos(x*y)", {"c": 1.0}),
+    ("fourier", "cos(c*x)", {"c": 0.7}),
+])
+def test_rebinding_keeps_the_one_pass_errors(fresh_memo, family, expr, params):
+    periods = (2.0, 2.0) if family == "fourier" else None
+    want = _outcome(lambda: _one_pass(expr, params, periods))
+    # the first call builds the text's program and the second binds it again
+    for _ in range(2):
+        assert _outcome(lambda: _compiled(expr, params, periods)) == want
+
+
+def test_a_family_is_built_once_and_rebound(fresh_memo):
+    spec = catalog("round")
     for c in (0.1, 0.2, 0.3):
         catalog("round", {"c": c}).compile()
-    info = generators._tokenize.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    # parameters bind after tokenizing, and a memoized text keeps its errors
-    for _ in range(2):
-        assert parse_polynomial("q*x", {"q": 2.0}) == Poly2({(1, 0): 2.0})
-        with pytest.raises(ParseError, match="unbound parameter 'q'") as err:
-            parse_polynomial("q*x")
-        assert err.value.pos == 0
-        with pytest.raises(ParseError, match="unexpected character '@'") as err:
-            parse_polynomial("x + @")
-        assert err.value.pos == 4
-    # a long text is tokenized afresh, and the memo holds at most 32 texts;
-    # it holds round's and "q*x" so far, as a tokenizer error is not kept
-    terms = generators._MEMO_TEXT // 2 + 1
-    assert parse_polynomial("+".join(["x"] * terms)) == Poly2({(1, 0): float(terms)})
-    assert generators._tokenize.cache_info().currsize == 2
-    for n in range(40):
-        parse_polynomial(f"x + {n}")
-    assert generators._tokenize.cache_info().currsize == 32
+    program = fresh_memo.get((generators._Waves, spec.expr, frozenset({"c"}), spec.periods))
+    assert isinstance(program, generators._Program)
+    # c*B + A, with A = cos(pi*x) + cos(pi*y) and B = (cos(pi*x) - cos(pi*y))^2 - 4
+    # folded to 4 and 17 plane waves
+    assert [fn for fn, _ in program.steps] == [
+        generators._number, generators._Parser.product, operator.add]
+    folded = [a for _, args in program.steps for a in args if isinstance(a, generators._Waves)]
+    assert sorted(map(len, folded)) == [4, 17]
+    # no wavevector depends on c, so the mode of each wave is kept
+    assert program.fixed_waves and len(program.keys) == 21
+    # a text without parameters is kept as its generator
+    assert parse_fourier("cos(pi*x)", (2.0, 2.0)) is parse_fourier("cos(pi*x)", (2.0, 2.0))
+    assert parse_polynomial("x*y") is catalog("cross").compile()
+
+
+def test_the_memo_keeps_to_its_weight_budget(fresh_memo):
+    budget = fresh_memo.budget
+    for n in range(1, 3000):
+        assert parse_polynomial(f"x + {n}") == Poly2({(0, 0): float(n), (1, 0): 1.0})
+        assert fresh_memo.weight <= budget
+    texts = [key[1] for key in fresh_memo._entries]
+    # the least recently used go first
+    assert texts[-1] == "x + 2999" and "x + 1" not in texts
+    assert len(texts) < 2999
+    # an entry heavier than the whole budget is compiled but not kept
+    terms = budget // 2 + 1
+    chain = "+".join(["x"] * terms)
+    assert parse_polynomial(chain) == Poly2({(1, 0): float(terms)})
+    assert chain not in [key[1] for key in fresh_memo._entries]
+    assert fresh_memo.weight <= budget
 
 
 def test_parse_negative_exponent_rejected():
@@ -153,7 +276,7 @@ def test_parse_exponent_cap():
     assert err.value.pos == 6
 
 
-def test_parse_wave_cap(monkeypatch):
+def test_parse_wave_cap(monkeypatch, fresh_memo):
     # the cap counts the waves a product expands to, before equal modes merge
     monkeypatch.setattr(generators, "MAX_WAVES", 16)
     assert parse_fourier("cos(pi*x)^4", (2.0, 2.0)).modes

@@ -260,6 +260,18 @@ def test_sample_count_and_seed_must_be_integers(field, value):
         VerifyConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [True, "0.1", None])
+def test_step_must_be_a_real_number(value):
+    with pytest.raises(ValueError, match=re.escape(f"h must be a real number, got {value!r}")):
+        VerifyConfig(h=value)
+
+
+def test_numpy_real_steps_are_accepted():
+    assert VerifyConfig(h=np.float64(1e-4)) == VerifyConfig(h=1e-4)
+    with pytest.raises(ValueError, match="step h must be finite and positive"):
+        VerifyConfig(h=np.float32("nan"))
+
+
 def test_seed_must_be_non_negative():
     with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
         VerifyConfig(seed=-1)
