@@ -5,7 +5,9 @@ extracts that set as polylines (marching squares), finds and classifies its
 nodes (critical points of P lying on the zero set), measures local crossing
 angles and multipole order of the continued potential, and evaluates the
 transverse confinement along regular guide-line points.  Derivatives come
-from ``partials`` calls, which evaluate every requested order in one pass.
+from ``partials`` calls, which evaluate every requested order in one pass;
+Newton's seed batches call the generator's own engine, ``Partials`` or
+``FourierGen.partials``, so a batch takes a grid's arithmetic.
 Every sampling grid (marching squares, Newton seeds, ``trapnet sample``) is
 built and checked by :func:`grid_axes`.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from .algebra import Partials, Poly2, SymMat2
 from .extension import Field, _on_open_axes, synthesize
-from .generators import FourierGen, _phase, _wave_coefficients
+from .generators import FourierGen
 
 __all__ = [
     "AnalysisError",
@@ -310,9 +312,10 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
     """Find zeros of grad P inside a window by grid-seeded Newton refinement.
 
     The seeds are refined as one batch of arrays, each taking the same steps
-    as it would alone.  Seeds that do not converge are dropped (logged at
-    debug level).  Refined points are deduplicated within 1e-6 and flagged
-    as network nodes when |P| < 1e-8 there.  Near-singular Hessians
+    as it would alone as a 1-element array, and at a scalar point unless a
+    Fourier amplitude has two nonzero parts.  Seeds that do not converge are
+    dropped (logged at debug level).  Refined points are deduplicated within
+    1e-6 and flagged as network nodes when |P| < 1e-8 there.  Near-singular Hessians
     (cusp-type nodes) fall back to a Tikhonov-damped least-squares step.
     ``window`` must be finite with x1 > x0 and y1 > y0; ``resolution`` seeds
     per axis, a whole number >= 2, at most ``MAX_GRID_POINTS`` seeds in all.
@@ -349,31 +352,6 @@ _NEWTON_ORDERS = _PLANAR_GRADIENT + ((2, 0), (1, 1), (0, 2))
 _QUADRATIC_ORDERS = ((0, 0),) + _NEWTON_ORDERS
 
 
-def _batch_partials(jet: PlanarJet, orders):
-    """A function of points (x, y) giving ``jet.partials(orders, x, y)`` on
-    arrays, equal to one call per point.
-
-    For a polynomial that is ``jet.partials``.  A mode sum takes each term's
-    real part as ``c.real*cos(phase) - c.imag*sin(phase)``, a scalar complex
-    product's, where numpy's array product may fuse the multiply and the
-    subtraction; ``np.cos`` and ``np.sin`` of a finite phase are the parts of
-    ``np.exp(1j*phase)`` bit for bit, but for the sign of a zero sine.
-    """
-    if jet._arrays:
-        return lambda x, y: jet.partials(orders, x, y)
-    table = list(_wave_coefficients(jet._engine.waves, orders))
-
-    def evaluate(x, y):
-        values = [0.0] * len(orders)
-        for kx, ky, coeffs in table:
-            phase = _phase(kx, ky, x, y)
-            cos, sin = np.cos(phase), np.sin(phase)
-            for k, c, _ in coeffs:
-                values[k] = values[k] + (c.real * cos - c.imag * sin)
-        return [np.broadcast_to(v, np.shape(x)) for v in values]
-    return evaluate
-
-
 def _norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, as ``np.linalg.norm`` gives it for one row."""
     return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
@@ -383,8 +361,9 @@ def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.nd
     """Newton-refine each row of ``seeds``; the point, or None if it failed.
 
     All seeds iterate together as arrays and leave the batch when they stop.
-    Each takes the same steps as it would alone, bit for bit: the stacked
-    ``det``/``solve`` and the row norms equal their one-matrix calls.
+    Each takes the same steps as it would alone, bit for bit: its partials are
+    elementwise, and the stacked ``det``/``solve`` and the row norms equal
+    their one-matrix calls.
     """
     # iterate to step-size convergence, not just to the gradient tolerance:
     # at degenerate roots (singular Hessian) the gradient tolerance alone
@@ -392,8 +371,10 @@ def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.nd
     max_step = 0.25 * span
     step_floor = 1e-13 * max(span, 1.0)
     bound = 1e6 * max(span, 1.0)
-    # gradient and Hessian, set up once per call
-    second_order = _batch_partials(jet, _NEWTON_ORDERS)
+
+    def second_order(x, y):  # gradient and Hessian at the points, from the jet's engine
+        return [np.broadcast_to(v, x.shape) for v in jet._engine.partials(_NEWTON_ORDERS, x, y)]
+
     p = np.array(seeds, dtype=float)
     escaped = np.zeros(len(p), dtype=bool)
     live = np.arange(len(p))
@@ -576,9 +557,13 @@ def _form_determinant(generator, point) -> float:
 
     Its zero is the zero of the smallest-magnitude eigenvalue, but unlike a
     signed eigenvalue selection it stays continuous when the two magnitudes
-    tie (as they do for the square lattice at parameter 0).
+    tie (as they do for the square lattice at parameter 0).  A form with an
+    entry that is not finite gives nan: ``eigvalsh`` reads a nan on the
+    diagonal as eigenvalues 0 and -0.
     """
     _, _, q2 = quadratic_part(generator, point)
+    if not all(map(math.isfinite, (q2.xx, q2.xy, q2.yy))):
+        return math.nan
     lam = q2.eigenvalues()
     return float(lam[0]) * float(lam[1])  # a float product is inf, not a warning, on overflow
 

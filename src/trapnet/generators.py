@@ -77,8 +77,8 @@ MAX_WAVES = 2**18
 # dense linear factors to degree 64, 128 or 192 took about 0.1, 1 or 11 s
 # (Python 3.11 on a 2-vCPU Xeon)
 MAX_DEGREE = 128
-# most weight the memo of compiled texts and point tables keeps (_weight,
-# _point_sum): filled with generators, programs or tables of any one kind it
+# most weight the memo of compiled texts and wave tables keeps (_weight,
+# mode_sum): filled with generators, programs or tables of any one kind it
 # held 0.5-2.4 MB (tracemalloc, Python 3.11)
 _MEMO_WEIGHT = 2**14
 
@@ -539,19 +539,6 @@ def _phase(kx: float, ky: float, x, y):
     return kx * x + ky * y
 
 
-def _wave_coefficients(waves, orders):
-    """Each wave as (kx, ky, [(index, c, order)]) over the orders (nx, ny, ...)
-    whose coefficient ``c = amp * (1j*kx)**nx * (1j*ky)**ny`` is nonzero."""
-    for kx, ky, amp in waves:
-        coeffs = []
-        for i, order in enumerate(orders):
-            factor = (1j * kx) ** order[0] * (1j * ky) ** order[1]
-            if factor != 0:
-                coeffs.append((i, amp * factor, order))
-        if coeffs:
-            yield kx, ky, coeffs
-
-
 def mode_sum(waves, orders, x, y, kernel=None) -> list:
     """Real part of the sum of amp * (i kx)**nx * (i ky)**ny * exp(i (kx x + ky y))
     over ``waves`` of (kx, ky, amp), one per order (nx, ny, ...).
@@ -577,8 +564,14 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     may fuse its multiply and subtraction, and a c or kernel that is not
     finite everywhere, where ``0 * inf`` makes the complex product nan.
 
+    Each wave's nonzero factors ``(1j*kx)**nx * (1j*ky)**ny`` come from one
+    table per wavevectors, orders and the orders' count types
+    (:class:`_PointTable`), kept in the memo and read by the loop and by the
+    point pass alike; an int count and an equal numpy integer one have tables
+    of their own, each with its own complex power.
+
     At a point, finite float coordinates x and y, the sums are formed in one
-    array pass over the waves instead (:class:`_PointTable`), with the same
+    array pass over the waves instead (:func:`_point_sum`), with the same
     bits: every term is ``(c.real*K)*cos(phase) - (c.imag*K)*sin(phase)``,
     which is the real or imaginary form above when one part of c is zero, and
     numpy's scalar complex product, which does not fuse, when neither is.
@@ -587,20 +580,32 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     else, such as None, leaves the sums to the loop.  The terms of a wave
     whose coefficient is zero at an order are +-0.0, and ``np.add.accumulate``
     adds each order's terms in wave order; plus 0.0, the sum is the loop's
-    sum from +0.0.  Where a coefficient or kernel value is not finite, the
-    sums are formed by the loop too.
+    sum from +0.0.  Where a coefficient or kernel value is not finite, or a
+    count is not an int, the sums are formed by the loop too.
     """
+    orders = tuple(map(tuple, orders))
+    counts = [n for order in orders for n in order]
+    types = tuple(map(type, counts))
+    if not ({int}.issuperset(types) and min(counts, default=0) >= 0):
+        for order in orders:
+            check_order(order)
+    # an int count and an equal numpy integer one compare equal: the key keeps them apart
+    key = (_PointTable, tuple(map(_WAVEVECTOR, waves)), orders, types)
+    table = _MEMO.get(key)
+    if table is None:
+        table = _PointTable(key[1], orders)
+        _MEMO.put(key, table, len(waves) + len(orders) + table.fr.size)
     if isinstance(x, float) and isinstance(y, float) and math.isfinite(x) and math.isfinite(y):
-        sums = _point_sum(waves, orders, x, y, kernel)
+        sums = _point_sum(table, waves, x, y, kernel)
         if sums is not None:
             return sums
-    for order in orders:
-        check_order(order)
     accs = [0.0] * len(orders)
-    for kx, ky, coeffs in _wave_coefficients(waves, orders):
+    for w, factors in zip(table.rows, table.factors):
+        kx, ky, amp = waves[w]
         phase = _phase(kx, ky, x, y)
         parts, kernels = {}, {}  # cos, sin or exp of the phase; kernel by order[2:]
-        for i, c, order in coeffs:
+        for i, factor, order in factors:
+            c = amp * factor
             if kernel is not None and order[2:] not in kernels:
                 k = kernel(kx, ky, order)
                 kernels[order[2:]] = k, bool(np.isfinite(k).all())
@@ -626,31 +631,37 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
 
 
 class _PointTable:
-    """What a mode sum at a point needs of its wavevectors and orders.
+    """What a mode sum needs of its wavevectors and orders, at points and on arrays,
+    kept in the memo by :func:`mode_sum`.
 
-    ``rows`` are the waves with a nonzero coefficient at some order, as
-    :func:`_wave_coefficients` finds them, and ``fr`` and ``fi`` the real and
-    imaginary parts of each one's factor ``(1j*kx)**nx * (1j*ky)**ny`` per
-    order.  A factor has a zero part wherever it is finite, so ``amp *
-    factor`` has the bits of ``(ar*fr - ai*fi) + (ar*fi + ai*fr)j`` in real
-    arithmetic; a table where that does not hold is not ``usable``.
-    ``kernel_orders`` holds the first order of each distinct ``order[2:]``,
-    and ``columns`` the index of each order's.
+    ``rows`` are the waves with a nonzero factor ``(1j*kx)**nx * (1j*ky)**ny``
+    at some order, and ``factors`` holds each row's nonzero ones as (index,
+    factor, order), the loop's coefficients before their amplitude.  ``fr``
+    and ``fi`` are the real and imaginary parts of every factor, for the point
+    pass.  A factor has a zero part wherever it is finite, so ``amp * factor``
+    has the bits of ``(ar*fr - ai*fi) + (ar*fi + ai*fr)j`` in real
+    arithmetic; a table where that does not hold, or with a count that is not
+    an int, is not ``usable`` by the point pass.  ``kernel_orders`` holds the
+    first order of each distinct ``order[2:]``, and ``columns`` the index of
+    each order's.
     """
 
-    __slots__ = ("rows", "kx", "ky", "along_x", "along_y", "fr", "fi", "usable",
+    __slots__ = ("rows", "factors", "kx", "ky", "along_x", "along_y", "fr", "fi", "usable",
                  "kernel_orders", "columns")
 
     def __init__(self, wavevectors, orders):
-        self.rows, factors = [], []
+        self.rows, self.factors, dense = [], [], []
         for w, (kx, ky) in enumerate(wavevectors):
             row = [(1j * kx) ** order[0] * (1j * ky) ** order[1] for order in orders]
             if any(row):
                 self.rows.append(w)
-                factors.append(row)
-        f = np.array(factors, dtype=complex).reshape(len(self.rows), len(orders))
+                self.factors.append([(i, f, order) for i, (f, order) in enumerate(zip(row, orders))
+                                     if f != 0])
+                dense.append(row)
+        f = np.array(dense, dtype=complex).reshape(len(self.rows), len(orders))
         self.fr, self.fi = f.real.copy(), f.imag.copy()
-        self.usable = bool(np.isfinite(f).all() and not ((self.fr != 0) & (self.fi != 0)).any())
+        self.usable = bool(all(type(n) is int for order in orders for n in order)
+                           and np.isfinite(f).all() and not ((self.fr != 0) & (self.fi != 0)).any())
         self.kx = np.array([wavevectors[w][0] for w in self.rows], dtype=float)
         self.ky = np.array([wavevectors[w][1] for w in self.rows], dtype=float)
         # _phase's axial rule: kx*x where ky == 0, ky*y where only kx == 0
@@ -667,24 +678,13 @@ class _PointTable:
 _WAVEVECTOR = operator.itemgetter(0, 1)
 
 
-def _point_sum(waves, orders, x: float, y: float, kernel) -> list | None:
+def _point_sum(table: _PointTable, waves, x: float, y: float, kernel) -> list | None:
     """``mode_sum`` at one finite point in one array pass, or None where the
-    loop must form the sums: there :func:`check_order` checks the orders, and
-    here every count must be an int >= 0, which it passes.  (A numpy integer
-    count takes numpy's complex power in :func:`_wave_coefficients`.)"""
-    orders = tuple(map(tuple, orders))
-    counts = [n for order in orders for n in order]
-    if not ({int}.issuperset(map(type, counts)) and min(counts, default=0) >= 0):
-        return None
-    key = (_PointTable, tuple(map(_WAVEVECTOR, waves)), orders)
-    table = _MEMO.get(key)
-    if table is None:
-        table = _PointTable(key[1], orders)
-        _MEMO.put(key, table, len(waves) + len(orders) + table.fr.size)
+    loop must form the sums."""
     if not table.usable:
         return None
     if not table.rows:
-        return [0.0] * len(orders)
+        return [0.0] * table.fr.shape[1]
     amps = np.array([waves[w][2] for w in table.rows], dtype=complex)
     ar, ai = amps.real[:, None], amps.imag[:, None]
     cr = ar * table.fr - ai * table.fi
@@ -808,7 +808,7 @@ class _Memo:
                 self.weight -= self._entries.popitem(last=False)[1][1]
 
 
-# programs, generators and point tables (see mode_sum), by text or wavevectors
+# programs, generators and wave tables (see mode_sum), by text or wavevectors
 _MEMO = _Memo(_MEMO_WEIGHT)
 _UNBUILT = object()  # a text whose program could not be built
 

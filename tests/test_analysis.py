@@ -443,6 +443,12 @@ def test_threshold_scan_refuses_a_nan_pivot():
         threshold_scan(family, (0.0, 0.0), (-1.0, 2.0))
     with pytest.raises(ValueError, match="quadratic form is nan"):
         threshold_scan(family, (0.0, 0.0), (2.0, -1.0))
+    # eigvalsh reads a nan on the diagonal as eigenvalues 0 and -0, a root
+    for diagonal in (lambda c: (math.nan if c > 1.0 else 1.0) * X**2 - c * Y**2,
+                     lambda c: X**2 - (math.nan if c > 1.0 else c) * Y**2):
+        assert threshold_scan(diagonal, (0.0, 0.0), (-1.0, 1.0)) == 0.0
+        with pytest.raises(ValueError, match="quadratic form is nan"):
+            threshold_scan(diagonal, (0.0, 0.0), (-1.0, 2.0))
 
 
 def test_threshold_scan_refuses_an_infinite_range():

@@ -7,7 +7,11 @@ mask and edge work into numpy and refined every seed of a grid as one batch.
 ``reference_fourier_partials`` is the per-mode loop of the plane generator
 and of its continuation before both moved into ``generators.mode_sum``.
 None of these changes alters the arithmetic, so the results must be equal
-exactly, bit for bit, not within a tolerance.
+exactly, bit for bit, not within a tolerance.  Newton's batches evaluate
+with a grid's arithmetic, so a seed alone is refined at 1-element arrays
+where a Fourier amplitude has two nonzero parts (numpy's array complex
+product may fuse where its scalar one does not), and at scalar points
+otherwise; ``EARLIER_CRITICAL_POINTS`` holds what the batches found before.
 
 ``reference_partials`` is the ``algebra.Partials`` loop that differentiated
 every order from the base, where ``Partials`` now takes each order from its
@@ -39,6 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polys
+from test_open_axes import SPEC_SWEEP
 import trapnet
 from trapnet import (FourierField, FourierGen, FourierMode, PlanarJet, Poly2, X, Y, ZSeries,
                      catalog, critical_points, odd_extend, parse_fourier, parse_polynomial,
@@ -116,14 +121,19 @@ def reference_null_lines(generator, window, resolution):
     return _chain_segments(segments)
 
 
-def reference_refine_newton(jet, p, span, max_iter=120):
+def reference_refine_newton(jet, p, span, max_iter=120, arrays=False):
+    def partials(orders, p):
+        if arrays:  # the point as 1-element arrays
+            return [float(v[0]) for v in jet.partials(orders, p[:1], p[1:])]
+        return jet.partials(orders, p[0], p[1])
+
     max_step = 0.25 * span
     step_floor = 1e-13 * max(span, 1.0)
     for _ in range(max_iter):
-        g = jet.grad(p[0], p[1])
+        g = np.array(partials(((1, 0), (0, 1)), p))
         if g[0] == 0.0 and g[1] == 0.0:
             break
-        hxx, hxy, hyy = jet.partials(((2, 0), (1, 1), (0, 2)), p[0], p[1])
+        hxx, hxy, hyy = partials(((2, 0), (1, 1), (0, 2)), p)
         h = np.array([[hxx, hxy], [hxy, hyy]])
         scale = max(np.abs(h).max(), 1e-30)
         if abs(np.linalg.det(h)) > 1e-12 * scale * scale:
@@ -140,7 +150,7 @@ def reference_refine_newton(jet, p, span, max_iter=120):
             return None
         if norm < step_floor:
             break
-    if np.linalg.norm(jet.grad(p[0], p[1])) < 1e-10:
+    if np.linalg.norm(partials(((1, 0), (0, 1)), p)) < 1e-10:
         return p + 0.0
     return None
 
@@ -242,18 +252,31 @@ def assert_same_lines(generator, window, resolution):
     return got
 
 
+def _general_complex(generator) -> bool:
+    """Whether a Fourier generator has an amplitude with two nonzero parts."""
+    return isinstance(generator, FourierGen) and any(
+        mode.amp.real != 0 and mode.amp.imag != 0 for mode in generator.modes)
+
+
 def assert_same_newton(generator, window, resolution):
-    """Refine a seed grid as one batch and each seed alone; compare per seed."""
+    """Refine a seed grid as one batch and each seed alone; compare per seed.
+
+    A seed alone is refined at scalar points, or, for a generator with a
+    general complex amplitude, at 1-element arrays: Newton evaluates its
+    batch with numpy's array complex product there, which may fuse its
+    multiply and subtraction where the scalar product does not.
+    """
     x0, x1, y0, y1 = window
     span = max(x1 - x0, y1 - y0)
     jet = PlanarJet(generator)
+    arrays = _general_complex(generator)
     seeds = np.array([(sx, sy) for sx in np.linspace(x0, x1, resolution)
                       for sy in np.linspace(y0, y1, resolution)])
     refined = _refine_newton(jet, seeds, span)
     assert len(refined) == len(seeds)
     converged = 0
     for seed, got in zip(seeds, refined):
-        want = reference_refine_newton(jet, seed, span)
+        want = reference_refine_newton(jet, seed, span, arrays=arrays)
         if want is None:
             assert got is None
         else:
@@ -492,16 +515,104 @@ def test_saddle_grid_of_cross_generator():
     assert_same_lines(catalog("cross").compile(), (-1.03, 0.97, -1.01, 0.99), 40)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_refine_newton_matches_two_call_loop_seeded_fourier_sum(seed):
-    # sine terms give complex amplitudes, whose products numpy's array
-    # multiply rounds differently from a scalar one
+PHASE_SHIFTED = "cos(pi*x + 0.3) - 0.4*sin(pi*(x + y) - 1.1)"
+
+
+def seeded_fourier_sum(seed):
     rng = np.random.default_rng(seed)
     terms = [f"{rng.uniform(0.1, 1.0):.3f}*{rng.choice(['cos', 'sin'])}"
              f"({rng.integers(0, 3)}*pi*x {rng.choice(['+', '-'])} {rng.integers(0, 3)}*pi*y)"
              for _ in range(4)]
-    gen = parse_fourier(" + ".join(terms) + " - 0.765*sin(pi*x)*cos(pi*y)", (2.0, 2.0))
+    return parse_fourier(" + ".join(terms) + " - 0.765*sin(pi*x)*cos(pi*y)", (2.0, 2.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_refine_newton_matches_two_call_loop_seeded_fourier_sum(seed):
+    # sine terms give complex amplitudes; seed 1's sum has a general complex
+    # one, and its seeds alone are refined at 1-element arrays
+    gen = seeded_fourier_sum(seed)
     assert any(mode.amp.imag != 0.0 for mode in gen.modes)
+    assert _general_complex(gen) == (seed == 1)
+    assert assert_same_newton(gen, (-1.3, 1.3, -1.3, 1.3), 12) > 0
+
+
+# critical_points on (-1.3, 1.3)^2 at res 12 as its Newton batches found them
+# before they took mode_sum's arithmetic; res 48 found the same points within
+# 4e-16, and none of them is a node
+EARLIER_CRITICAL_POINTS = {
+    "phase-shifted": [
+        (-1.0954929658551373, -1.0543661593426932), (-1.0954929658551373, -0.05436615934269307),
+        (-1.0954929658551373, 0.9456338406573069), (-0.09549296585513721, -1.0543661593426932),
+        (-0.09549296585513721, -0.05436615934269306), (-0.09549296585513721, 0.9456338406573069),
+        (0.9045070341448628, -1.0543661593426932), (0.9045070341448628, -0.05436615934269304),
+        (0.9045070341448628, 0.9456338406573069),
+    ],
+    "seeded-0": [
+        (-1.097608716546942, -0.8631236820231798), (-1.097608716546942, 1.1368763179768202),
+        (-1.0, -0.5000000000000001), (-1.0, 0.49999999999999994),
+        (-0.9023912834530582, -0.13687631797682034), (-0.555121296559616, -0.8795637075049147),
+        (-0.555121296559616, 1.1204362924950855), (-0.3840653907143278, 0.44694226793005654),
+        (-6.383365214150695e-18, 0.5), (-2.6456805241118317e-18, -0.4999999999999998),
+        (0.38406539071432777, 0.5530577320699434), (0.5551212965596158, -0.12043629249508533),
+        (0.9023912834530581, 1.1368763179768202), (0.9023912834530582, -0.8631236820231799),
+        (1.0, -0.5000000000000001), (1.0, 0.5), (1.097608716546942, -0.13687631797682037),
+    ],
+    "seeded-1": [
+        (-1.048595463533946, -1.0823485477825603), (-1.048595463533946, 0.9176514522174398),
+        (-1.0326848883034754, 0.5830377596033602), (-0.614505933500583, -0.14218645253188616),
+        (-0.2550230456184347, -1.094696734840397), (-0.25502304561843464, 0.9053032651596029),
+        (-0.24017329161889617, -0.09215403934687981), (0.14271644644021664, 0.06117186660172882),
+        (0.31988494817252433, -0.7709163870007292), (0.3198849481725244, 1.229083612999271),
+        (0.676183379232009, -0.39961815170861237), (0.9514045364660538, -1.08234854778256),
+        (0.951404536466054, 0.9176514522174398), (0.9673151116965247, 0.5830377596033601),
+    ],
+    "seeded-2": [
+        (-1.2560623176850225, -0.2590098888794298), (-1.1837294948930763, 0.16122308945830832),
+        (-1.0000000000000002, 0.5), (-1.0, -0.5), (-0.8162705051069238, 0.8387769105416916),
+        (-0.8162705051069237, -1.1612230894583084), (-0.7439376823149777, -0.7409901111205704),
+        (-0.7439376823149776, 1.2590098888794297), (-0.23604179242378437, -0.032345315721487904),
+        (-5.3628325764654315e-18, 0.5), (-4.36387348388939e-18, -0.5),
+        (0.23604179242378434, -0.9676546842785121), (0.23604179242378437, 1.032345315721488),
+        (0.7439376823149776, -0.2590098888794297), (0.8162705051069237, 0.16122308945830832),
+        (0.9999999999999997, 0.4999999999999997), (0.9999999999999999, -0.4999999999999999),
+        (1.1837294948930763, -1.1612230894583084), (1.1837294948930763, 0.8387769105416917),
+        (1.2560623176850223, -0.7409901111205702), (1.2560623176850225, 1.2590098888794297),
+    ],
+}
+
+
+@pytest.mark.parametrize("res", [12, 48])
+@pytest.mark.parametrize("name", list(EARLIER_CRITICAL_POINTS))
+def test_critical_points_keep_their_earlier_positions(name, res):
+    gen = (parse_fourier(PHASE_SHIFTED, (2.0, 2.0)) if name == "phase-shifted"
+           else seeded_fourier_sum(int(name[-1])))
+    found = critical_points(gen, (-1.3, 1.3, -1.3, 1.3), res)
+    want = EARLIER_CRITICAL_POINTS[name]
+    assert len(found) == len(want)
+    assert not any(cp.is_node for cp in found)
+    for x, y in want:  # a change of the last bit may reorder points of one x
+        assert sum(abs(cp.x - x) <= 1e-12 and abs(cp.y - y) <= 1e-12 for cp in found) == 1
+
+
+@pytest.mark.parametrize("c", [0.2, 0.25, 0.37])
+def test_refine_newton_matches_scalar_loop_on_round(c):
+    gen = catalog("round", {"c": c}).compile()
+    assert not _general_complex(gen)
+    assert assert_same_newton(gen, (-1.3, 1.3, -1.3, 1.3), 12) > 0
+
+
+@pytest.mark.parametrize("text", [text for family, text in SPEC_SWEEP if family == "fourier"])
+def test_refine_newton_matches_one_seed_loop_on_spec_sweep_templates(text):
+    # the template with a shifted sine, 1.23 + sin(...), has general complex
+    # amplitudes; the others' are real or imaginary, refined alone at points
+    gen = parse_fourier(text, (2.0, 2.0))
+    assert _general_complex(gen) == ("1.23 + sin(" in text)
+    assert assert_same_newton(gen, (-1.3, 1.3, -1.3, 1.3), 8) > 0
+
+
+def test_refine_newton_matches_one_seed_arrays_phase_shifted():
+    gen = parse_fourier(PHASE_SHIFTED, (2.0, 2.0))
+    assert _general_complex(gen)
     assert assert_same_newton(gen, (-1.3, 1.3, -1.3, 1.3), 12) > 0
 
 

@@ -16,6 +16,10 @@ a phase-shifted generator; the orders are every order up to
 ``MULTIPOLE_MAX_ORDER``.  The points put x or y at +-0.0, and z at +-0, inside
 ``_SMALL_KZ`` and at 300, where the sinh kernel overflows and the loop runs.
 A point (x, y) beside an array of z values is left to the loop as well.
+
+The loop and the point pass read one memoized table of wave factors per
+wavevectors, orders and count types: points, arrays and Newton's batches of
+one generator share it, and int and numpy integer orders each have their own.
 """
 
 import itertools
@@ -25,7 +29,7 @@ import pytest
 
 from trapnet import PlanarJet, catalog, parse_fourier, synthesize
 from trapnet import generators
-from trapnet.analysis import MULTIPOLE_MAX_ORDER
+from trapnet.analysis import _NEWTON_ORDERS, MULTIPOLE_MAX_ORDER, _refine_newton
 from test_open_axes import SPEC_SWEEP
 
 GENERATORS = {"round": catalog("round").compile()}
@@ -129,3 +133,42 @@ def test_point_pass_leaves_numpy_integer_orders_to_the_loop(passes):
         gen.partials([(1, 0), (-1, 0)], 0.3, -0.7)
     with pytest.raises(ValueError, match="non-negative integers"):
         gen.partials([(1.0, 0)], 0.3, -0.7)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """A fresh memo; called, the wave tables it holds, by key."""
+    memo = generators._Memo(generators._MEMO_WEIGHT)
+    monkeypatch.setattr(generators, "_MEMO", memo)
+    return lambda: {key: value for key, (value, _) in memo._entries.items()
+                    if key[0] is generators._PointTable}
+
+
+def test_int_and_numpy_integer_orders_have_tables_of_their_own(tables):
+    gen = GENERATORS["phase-shifted"]
+    orders = [(np.int64(nx), ny) for nx, ny in ORDERS_2D]
+    gen.partials(ORDERS_2D, 0.3, -0.7)
+    gen.partials(orders, np.array([0.3]), np.array([-0.7]))
+    kept = tables()
+    assert len(kept) == 2  # the orders compare equal; their count types do not
+    for key, table in kept.items():
+        assert table.usable == (key[3] == (int, int) * len(ORDERS_2D))
+        for w, factors in zip(table.rows, table.factors):
+            kx, ky = key[1][w]
+            for i, factor, order in factors:
+                # an int count takes Python's complex power, a numpy one numpy's
+                want = (1j * kx) ** order[0] * (1j * ky) ** order[1]
+                assert type(factor) is type(want) is (complex if table.usable else np.complex128)
+                assert (factor.real.hex(), factor.imag.hex()) == \
+                    (want.real.hex(), want.imag.hex()), (w, i)
+
+
+def test_points_arrays_and_newton_share_one_table(tables, passes):
+    gen = GENERATORS["phase-shifted"]
+    _refine_newton(PlanarJet(gen), np.array([(0.1, 0.2), (-0.9, 0.95)]), 2.6)
+    (key, table), = tables().items()
+    assert key[2] == _NEWTON_ORDERS
+    gen.partials(_NEWTON_ORDERS, np.linspace(0, 1, 5), np.linspace(-1, 0, 5))
+    gen.partials(_NEWTON_ORDERS, 0.3, -0.7)
+    assert passes == [True]
+    assert tables() == {key: table}
