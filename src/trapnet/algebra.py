@@ -348,9 +348,12 @@ class ZSeries:
 
 
 def check_order(counts) -> None:
-    """Raise ValueError unless every derivative count of an order is an integer >= 0."""
+    """Raise ValueError unless every derivative count of an order is an integer >= 0.
+
+    A bool is not a count, though ``isinstance(True, int)`` holds.
+    """
     for n in counts:
-        if not (isinstance(n, (int, np.integer)) and n >= 0):
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0):
             raise ValueError(f"derivative counts must be non-negative integers, got {counts}")
 
 

@@ -164,7 +164,7 @@ def validate_window(window, axes: int) -> tuple[float, ...]:
     Raises ValueError unless there are ``axes`` pairs, every bound is finite
     and hi > lo with a finite width hi - lo on every axis.
     """
-    bounds = tuple(float(v) for v in window)
+    bounds = tuple([float(v) for v in window])
     if len(bounds) != 2 * axes:
         raise ValueError(f"window needs {2 * axes} bounds, got {len(bounds)}")
     if not all(math.isfinite(v) for v in bounds):
@@ -199,20 +199,16 @@ def grid_axes(window, counts) -> list[np.ndarray]:
 
 # cell corners: c0=(i,j) c1=(i+1,j) c2=(i+1,j+1) c3=(i,j+1); bit set = value < 0
 # cell edges:   e0 bottom (c0-c1), e1 right (c1-c2), e2 top (c3-c2), e3 left (c0-c3)
-_CASES: dict[int, list[tuple[int, int]]] = {
-    1: [(3, 0)], 14: [(3, 0)],
-    2: [(0, 1)], 13: [(0, 1)],
-    3: [(3, 1)], 12: [(3, 1)],
-    4: [(1, 2)], 11: [(1, 2)],
-    6: [(0, 2)], 9: [(0, 2)],
-    7: [(3, 2)], 8: [(3, 2)],
-}
-# masks 5 (c0,c2 negative) and 10 (c1,c3 negative) are saddle-ambiguous:
-# a connected negative diagonal separates the two positive corners
-_SADDLE = {
-    5: {True: [(0, 1), (3, 2)], False: [(3, 0), (1, 2)]},
-    10: {True: [(3, 0), (1, 2)], False: [(0, 1), (3, 2)]},
-}
+# the edge pairs that each cell mask joins, (-1, -1) after a mask's one pair.
+# The saddle masks 5 (c0, c2 negative) and 10 (c1, c3 negative) hold the pairs
+# of a positive cell center; a negative center connects the negative diagonal
+# and takes the pairs of the other saddle mask, mask ^ 15
+_PAIRS = np.array([
+    [(-1, -1), (-1, -1)], [(3, 0), (-1, -1)], [(0, 1), (-1, -1)], [(3, 1), (-1, -1)],
+    [(1, 2), (-1, -1)], [(3, 0), (1, 2)], [(0, 2), (-1, -1)], [(3, 2), (-1, -1)],
+    [(3, 2), (-1, -1)], [(0, 2), (-1, -1)], [(0, 1), (3, 2)], [(1, 2), (-1, -1)],
+    [(3, 1), (-1, -1)], [(0, 1), (-1, -1)], [(3, 0), (-1, -1)], [(-1, -1), (-1, -1)],
+])
 
 
 def null_lines(generator, window, resolution: int) -> list[Polyline]:
@@ -221,85 +217,126 @@ def null_lines(generator, window, resolution: int) -> list[Polyline]:
     ``window`` is (x0, x1, y0, y1), finite with x1 > x0 and y1 > y0;
     ``resolution`` is the number of grid samples per axis (>= 2).  Vertices
     sit on grid-cell edges by linear interpolation; saddle-ambiguous cells
-    are resolved by the sign of a cell-center sample.  The cell masks and
-    the edge interpolations are computed as arrays over the whole grid; the
-    Python loop visits only the cells that the zero set crosses.  An empty
-    list means no zeros in the window.
+    are resolved by the sign of a cell-center sample.  Only the evaluation
+    and the sign test pass over the whole grid.  The sign-changing edges,
+    the cells they cross and the edge pairs each cell joins are array passes
+    over those edges, and there is no per-cell Python loop: a saddle cell's
+    center sample is the one scalar step.  An empty list means no zeros in
+    the window; a value on the grid that is not finite is a ValueError.
     """
     xs, ys = grid_axes(window, (resolution, resolution))
     jet = PlanarJet(generator)
     gx, gy = np.meshgrid(xs, ys, indexing="ij", sparse=True)
-    values = jet.value(gx, gy)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warnings
+        values = jet.value(gx, gy)
+    if not np.isfinite(values).all():
+        raise ValueError("P is not finite on this grid: the window is out of range")
     neg = values < 0.0
 
-    # vertices are keyed by their exact position so that crossings through a
-    # grid corner (interpolation parameter clamped to 0 or 1) merge cleanly;
-    # only sign-changing edges carry one.  Evaluations sum from +0.0 and so
-    # never return -0.0, which is where np.maximum and the scalar max differ.
-    edge_pos: dict[tuple, tuple[float, float]] = {}
-    ei, ej = np.nonzero(neg[:-1, :] != neg[1:, :])
-    va, vb = values[ei, ej], values[ei + 1, ej]
+    # each sign-changing edge carries one vertex, by linear interpolation.
+    # The edges are keyed in row-major order, x-edges (i, j)-(i+1, j) by
+    # i*n + j and then y-edges (i, j)-(i, j+1) by n*(n-1) + i*(n-1) + j, and a
+    # vertex's id is its edge's place among the keys.  Evaluations sum from
+    # +0.0 and so never return -0.0, which is where np.maximum and max differ
+    n = len(xs)
+    xkeys = np.flatnonzero(neg[:-1, :] != neg[1:, :])
+    ykeys = np.flatnonzero(neg[:, :-1] != neg[:, 1:])
+    xi, xj = np.divmod(xkeys, n)
+    yi, yj = np.divmod(ykeys, n - 1)
+    va, vb = values[xi, xj], values[xi + 1, xj]
     t = np.minimum(np.maximum(va / (va - vb), 0.0), 1.0)
-    px = xs[ei] + t * (xs[ei + 1] - xs[ei])
-    for i, j, x, y in zip(ei.tolist(), ej.tolist(), px.tolist(), ys[ej].tolist()):
-        edge_pos["x", i, j] = (x, y)
-    ei, ej = np.nonzero(neg[:, :-1] != neg[:, 1:])
-    va, vb = values[ei, ej], values[ei, ej + 1]
+    vx = np.concatenate((xs[xi] + t * (xs[xi + 1] - xs[xi]), xs[yi]))
+    va, vb = values[yi, yj], values[yi, yj + 1]
     t = np.minimum(np.maximum(va / (va - vb), 0.0), 1.0)
-    py = ys[ej] + t * (ys[ej + 1] - ys[ej])
-    for i, j, x, y in zip(ei.tolist(), ej.tolist(), xs[ei].tolist(), py.tolist()):
-        edge_pos["y", i, j] = (x, y)
+    vy = np.concatenate((ys[xj], ys[yj] + t * (ys[yj + 1] - ys[yj])))
+    keys = np.concatenate((xkeys, n * (n - 1) + ykeys))
 
+    # a cell (i, j), keyed i*(n-1) + j, is crossed if and only if its bottom
+    # (e0), top (e2) or left (e3) edge changes sign, as two or four of its
+    # four edges do; the cells go in row-major order
+    cells = np.sort(np.concatenate(((xkeys - xi)[xj < n - 1], (xkeys - xi - 1)[xj > 0],
+                                    ykeys[yi < n - 1])))
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = cells[1:] != cells[:-1]
+    cells = cells[first]
+    ci, cj = np.divmod(cells, n - 1)
     bits = neg.view(np.uint8)
-    masks = (bits[:-1, :-1] | bits[1:, :-1] << 1
-             | bits[1:, 1:] << 2 | bits[:-1, 1:] << 3)
-    ci, cj = np.nonzero((masks != 0) & (masks != 15))  # row-major, as i then j
-    segments: list[tuple[tuple, tuple]] = []
-    for i, j, mask in zip(ci.tolist(), cj.tolist(), masks[ci, cj].tolist()):
-        if mask in _SADDLE:
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            pairs = _SADDLE[mask][bool(jet.value(cx, cy) < 0.0)]
-        else:
-            pairs = _CASES[mask]
-        cell_edges = (("x", i, j), ("y", i + 1, j), ("x", i, j + 1), ("y", i, j))
-        for ea, eb in pairs:
-            pa = edge_pos[cell_edges[ea]]
-            pb = edge_pos[cell_edges[eb]]
-            if pa != pb:
-                segments.append((pa, pb))
+    masks = (bits[ci, cj] | bits[ci + 1, cj] << 1
+             | bits[ci + 1, cj + 1] << 2 | bits[ci, cj + 1] << 3)
+    for k in np.flatnonzero((masks == 5) | (masks == 10)).tolist():
+        i, j = int(ci[k]), int(cj[k])
+        if jet.value(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])) < 0.0:
+            masks[k] ^= 15
 
-    return _chain_segments(segments)
+    # the joined edge pairs in cell order, two rows per cell, each edge as its
+    # key: for cell c = (i, j), e0 is x-edge (i, j), keyed c + i, and e2 is
+    # x-edge (i, j+1), c + i + 1; e3 is y-edge (i, j), n*(n-1) + c, and e1 is
+    # y-edge (i+1, j), n*(n-1) + c + n - 1
+    pairs = _PAIRS[masks].reshape(-1, 2)
+    joined = np.flatnonzero(pairs[:, 0] >= 0)
+    pairs, c, i = pairs[joined], cells[joined >> 1, None], ci[joined >> 1, None]
+    edge_keys = np.where(pairs & 1, n * (n - 1) + c, c + i) + np.array([0, n - 1, 1, 0])[pairs]
+    ends = np.searchsorted(keys, edge_keys)
+    # crossings that clamp to one grid corner give a segment of no length: dropped
+    a, b = ends[:, 0], ends[:, 1]
+    return _chain_segments(ends[(vx[a] != vx[b]) | (vy[a] != vy[b])], vx, vy)
 
 
-def _chain_segments(segments) -> list[Polyline]:
-    """Join shared-endpoint segments into open chains and closed loops."""
-    adjacency: dict[tuple, list[tuple[tuple, int]]] = {}
-    for idx, (pa, pb) in enumerate(segments):
-        adjacency.setdefault(pa, []).append((pb, idx))
-        adjacency.setdefault(pb, []).append((pa, idx))
+def _chain_segments(ends, xs, ys) -> list[Polyline]:
+    """Join shared-endpoint segments into open chains and closed loops.
 
-    used = [False] * len(segments)
+    ``ends`` holds the two vertex ids of each segment, ``xs`` and ``ys`` the
+    vertices' positions, which differ at a segment's two ends.  Vertices at
+    one position are one node, ranked by position, so the walk compares
+    integers.  It starts from the chain ends, then from every node with
+    segments left, in position order, and steps along the unused segment to
+    the lowest-ranked neighbour, the lowest-numbered segment on a tie.  A
+    chain's first point is its node's position as the node's first segment
+    holds it, every other point as the segment that reached it holds it:
+    they may differ in the sign of a zero coordinate.
+    """
+    order = np.lexsort((ys, xs))
+    sx, sy = xs[order], ys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    # half-edge h runs from vertex flat[h] to flat[h ^ 1] along segment h >> 1;
+    # a node's half-edges are sorted by the far node's rank, then by segment
+    flat = ends.ravel()
+    node = rank[flat]
+    half = np.lexsort((node[np.arange(len(node)) ^ 1], node))
+    bounds = np.searchsorted(node[half], np.arange(np.count_nonzero(new) + 1))
+    left = np.diff(bounds)  # each node's unused segments
+    endpoints = np.flatnonzero(left == 1).tolist()
+    # the walk reads the arrays through memoryviews, which make each Python
+    # int or float as it is read: lists would hold one object per entry
+    cursor = bounds[:-1].copy()  # each node's first half-edge that may be unused
+    half, bounds, node, flat, left, cursor, xs, ys = map(
+        memoryview, (half, bounds, node, flat, left, cursor, xs, ys))
 
-    def walk(start):
-        chain = [start]
-        while True:
-            extensions = [(p, i) for p, i in adjacency[chain[-1]] if not used[i]]
-            if not extensions:
-                return chain, False
-            nxt, idx = min(extensions)
-            used[idx] = True
-            if nxt == chain[0]:
-                return chain, True
-            chain.append(nxt)
-
+    used = bytearray(len(ends))
     polylines = []
-    # walk from the chain endpoints first, then from any vertex with segments left
-    endpoints = sorted(p for p, nbrs in adjacency.items() if len(nbrs) == 1)
-    for start in [*endpoints, *sorted(adjacency)]:
-        if all(used[i] for _, i in adjacency[start]):
+    for start in [*endpoints, *range(len(left))]:
+        if not left[start]:
             continue
-        chain, closed = walk(start)
+        v = flat[min(half[bounds[start]:bounds[start + 1]])]
+        chain, at, closed = [(xs[v], ys[v])], start, False
+        while left[at]:
+            k = cursor[at]
+            while used[half[k] >> 1]:
+                k += 1
+            cursor[at] = k + 1
+            h = half[k]
+            used[h >> 1] = True
+            left[at] -= 1
+            at = node[h ^ 1]
+            left[at] -= 1
+            if at == start:
+                closed = True
+                break
+            v = flat[h ^ 1]
+            chain.append((xs[v], ys[v]))
         polylines.append(Polyline(chain, closed))
     return polylines
 
@@ -337,10 +374,14 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
             continue
         converged.append((float(p[0]), float(p[1])))
 
+    # keep the first point in sorted order, drop every later one within
+    # DEDUP_TOL of it, and repeat on what is left
     out = []
-    for x, y in sorted(converged):
-        if any(np.hypot(x - cp.x, y - cp.y) < DEDUP_TOL for cp in out):
-            continue
+    rest = np.array(sorted(converged), dtype=float).reshape(-1, 2)
+    while len(rest):
+        x, y = rest[0].tolist()
+        rest = rest[1:]
+        rest = rest[~(np.hypot(rest[:, 0] - x, rest[:, 1] - y) < DEDUP_TOL)]
         value, *grad = jet.partials(_QUADRATIC_ORDERS[:3], x, y)
         grad_norm = float(np.linalg.norm(grad))
         out.append(CriticalPoint(x, y, value, grad_norm, abs(value) < NODE_P_TOL))

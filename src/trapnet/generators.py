@@ -583,14 +583,17 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     sum from +0.0.  Where a coefficient or kernel value is not finite, or a
     count is not an int, the sums are formed by the loop too.
     """
-    orders = tuple(map(tuple, orders))
+    # each tuple is built from a list: the interpreter sizes it once, where
+    # tuple(map(...)) resizes it, and a resized tuple, once freed, stays on a
+    # free list until the next full garbage collection
+    orders = tuple([tuple(order) for order in orders])
     counts = [n for order in orders for n in order]
-    types = tuple(map(type, counts))
+    types = tuple([type(n) for n in counts])
     if not ({int}.issuperset(types) and min(counts, default=0) >= 0):
         for order in orders:
             check_order(order)
     # an int count and an equal numpy integer one compare equal: the key keeps them apart
-    key = (_PointTable, tuple(map(_WAVEVECTOR, waves)), orders, types)
+    key = (_PointTable, tuple([_WAVEVECTOR(wave) for wave in waves]), orders, types)
     table = _MEMO.get(key)
     if table is None:
         table = _PointTable(key[1], orders)

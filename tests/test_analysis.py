@@ -9,7 +9,7 @@ import pytest
 from trapnet import (AnalysisError, NoTransitionError, NotALinePointError,
                      NotANodeError, PlanarJet, Poly2, X, Y, catalog, classify_node,
                      critical_points, multipole_order, null_lines, parse_fourier,
-                     quadratic_part, synthesize, threshold_scan,
+                     parse_polynomial, quadratic_part, synthesize, threshold_scan,
                      transverse_confinement)
 from trapnet import analysis
 from trapnet.analysis import grid_axes, validate_window
@@ -71,6 +71,23 @@ def test_null_lines_empty_when_no_zeros():
 def test_null_lines_resolution_validation():
     with pytest.raises(ValueError):
         null_lines(X, (-1, 1, -1, 1), 1)
+
+
+def test_null_lines_take_a_whole_float_resolution():
+    # grid_axes takes 16.0 as 16 samples; the edge and cell keys are ints
+    gen = catalog("cusp").compile()
+    window = (-0.5, 2.5, -3.0, 3.0)
+    assert repr(null_lines(gen, window, 16.0)) == repr(null_lines(gen, window, 16))
+
+
+def test_null_lines_refuse_values_that_are_not_finite():
+    # x^64*y^64 is inf on most of this grid: its vertices used to be nan,
+    # after numpy's warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="P is not finite on this grid") as err:
+            null_lines(parse_polynomial("x^64*y^64 - 1"), (-1e4, 1e4, -1e4, 1e4), 9)
+    assert not isinstance(err.value, AnalysisError)
 
 
 def test_null_lines_constant_generator():

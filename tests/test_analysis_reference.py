@@ -1,9 +1,12 @@
 """Analysis and mode-sum code against the earlier implementations it replaced.
 
-``reference_null_lines`` is the per-cell marching-squares loop and
+``reference_null_lines`` is the per-cell marching-squares loop, with
+``reference_chain_segments``, the walk over a dict of vertex tuples, and
 ``reference_refine_newton`` the one-seed Newton refinement with separate
 gradient and Hessian calls that ``trapnet.analysis`` used before it moved the
-mask and edge work into numpy and refined every seed of a grid as one batch.
+mask, edge and chaining work into numpy and integer adjacency lists and
+refined every seed of a grid as one batch.  Polylines are compared by their
+``repr``, so a vertex must keep the sign of a zero coordinate too.
 ``reference_fourier_partials`` is the per-mode loop of the plane generator
 and of its continuation before both moved into ``generators.mode_sum``.
 None of these changes alters the arithmetic, so the results must be equal
@@ -45,11 +48,12 @@ from hypothesis import strategies as st
 from conftest import polys
 from test_open_axes import SPEC_SWEEP
 import trapnet
+from trapnet import analysis
 from trapnet import (FourierField, FourierGen, FourierMode, PlanarJet, Poly2, X, Y, ZSeries,
                      catalog, critical_points, odd_extend, parse_fourier, parse_polynomial,
                      synthesize, threshold_scan)
 from trapnet.algebra import Partials
-from trapnet.analysis import (_TAYLOR_ORDERS, THRESHOLD_XTOL, _chain_segments,
+from trapnet.analysis import (_TAYLOR_ORDERS, DEDUP_TOL, THRESHOLD_XTOL, Polyline,
                               _form_determinant, _refine_newton, multipole_order, null_lines)
 from trapnet.extension import _GRADIENT, _HESSIAN, _THIRD, _sinh_kernel
 
@@ -118,7 +122,38 @@ def reference_null_lines(generator, window, resolution):
                 pb = vertex(*cell_edges[eb])
                 if pa != pb:
                     segments.append((pa, pb))
-    return _chain_segments(segments)
+    return reference_chain_segments(segments)
+
+
+def reference_chain_segments(segments):
+    adjacency = {}
+    for idx, (pa, pb) in enumerate(segments):
+        adjacency.setdefault(pa, []).append((pb, idx))
+        adjacency.setdefault(pb, []).append((pa, idx))
+
+    used = [False] * len(segments)
+
+    def walk(start):
+        chain = [start]
+        while True:
+            extensions = [(p, i) for p, i in adjacency[chain[-1]] if not used[i]]
+            if not extensions:
+                return chain, False
+            nxt, idx = min(extensions)
+            used[idx] = True
+            if nxt == chain[0]:
+                return chain, True
+            chain.append(nxt)
+
+    polylines = []
+    # walk from the chain endpoints first, then from any vertex with segments left
+    endpoints = sorted(p for p, nbrs in adjacency.items() if len(nbrs) == 1)
+    for start in [*endpoints, *sorted(adjacency)]:
+        if all(used[i] for _, i in adjacency[start]):
+            continue
+        chain, closed = walk(start)
+        polylines.append(Polyline(chain, closed))
+    return polylines
 
 
 def reference_refine_newton(jet, p, span, max_iter=120, arrays=False):
@@ -248,7 +283,7 @@ def assert_same_partials(gen, x, y, z):
 
 def assert_same_lines(generator, window, resolution):
     got = null_lines(generator, window, resolution)
-    assert got == reference_null_lines(generator, window, resolution)
+    assert repr(got) == repr(reference_null_lines(generator, window, resolution))
     return got
 
 
@@ -513,6 +548,80 @@ def test_saddle_masks_follow_center_sign(sign, offset, mask):
 
 def test_saddle_grid_of_cross_generator():
     assert_same_lines(catalog("cross").compile(), (-1.03, 0.97, -1.01, 0.99), 40)
+
+
+# a -0.0 upper bound is the last sample of its axis as it is, while an
+# interpolated vertex there is +0.0: one node may be held both ways
+NEGATIVE_ZERO_WINDOWS = [(-1.0, -0.0, -1.0, 1.0), (-1.0, 1.0, -1.0, -0.0),
+                         (-1.0, -0.0, -1.0, -0.0), (-0.0, 1.0, -2.0, -0.0)]
+
+
+@pytest.mark.parametrize("window", NEGATIVE_ZERO_WINDOWS)
+@pytest.mark.parametrize("expr", ["x + y", "y - x", "x*y", "x*y*(x - y)", "5*x*y + x + y"])
+@pytest.mark.parametrize("res", [2, 3, 5, 8, 9])
+def test_windows_with_a_negative_zero_bound(expr, window, res):
+    assert_same_lines(parse_polynomial(expr), window, res)
+
+
+@pytest.mark.parametrize("terms, window, res", [
+    ({(3, 2): 4.0, (3, 0): -2.0, (0, 2): -1.0, (3, 1): -5.0, (2, 1): -5.0},
+     (-1.0, 1.0, -1.0, -0.0), 5),
+    ({(1, 1): 6.0, (3, 0): 4.0, (1, 3): 6.0, (0, 3): 2.0}, (-1.0, -0.0, -1.0, -0.0), 3),
+    ({(1, 0): -1.0, (1, 1): -6.0, (1, 2): -3.0, (0, 2): -1.0}, (-1.0, 1.0, -1.0, -0.0), 3),
+    ({(1, 2): -6.0, (3, 0): 5.0, (1, 0): -5.0}, (-2.0, 1.0, -2.0, -0.0), 2),
+])
+def test_a_chain_holds_a_vertex_as_the_segment_that_reached_it(terms, window, res):
+    # a node held as both +0.0 and -0.0, reached along segments that differ
+    lines = assert_same_lines(Poly2(terms), window, res)
+    assert any(math.copysign(1.0, v) < 0.0 for pl in lines for pt in pl.points for v in pt
+               if v == 0.0)
+
+
+@pytest.mark.parametrize("expr", ["x*y", "y^2 - x^4", "x*y*(x - y)", "x^2 - y^2",
+                                  "(x - y)*(x + y)*(x - 2*y)", "x*y*(x - y)*(x + y)"])
+@pytest.mark.parametrize("res", [2, 3, 4, 5, 10, 11, 20, 21])
+@pytest.mark.parametrize("half", [1.0, 1.5])
+def test_zeros_on_grid_vertices(expr, res, half):
+    # a symmetric window puts zeros on grid vertices, the origin at odd res;
+    # crossings that clamp to a vertex meet there
+    assert_same_lines(parse_polynomial(expr), (-half, half, -half, half), res)
+
+
+def _degrees(lines):
+    """How many segments of the polylines meet at each vertex."""
+    degree = {}
+    for pl in lines:
+        pts = pl.points + pl.points[:1] if pl.closed else pl.points
+        for pt in pts[:-1] + pts[1:]:
+            degree[pt] = degree.get(pt, 0) + 1
+    return degree
+
+
+@pytest.mark.parametrize("expr, res, k", [("y^2 - x^4", 9, 4), ("x^2 - y^2", 11, 5),
+                                           ("x*y*(x - y)", 4, 1)])
+def test_four_segments_meet_at_a_grid_vertex(expr, res, k):
+    lines = assert_same_lines(parse_polynomial(expr), (-1.0, 1.0, -1.0, 1.0), res)
+    v = np.linspace(-1.0, 1.0, res)[k].item()
+    assert _degrees(lines)[v, v] == 4
+
+
+@pytest.mark.parametrize("res", [200, 201])
+def test_round_loops_at_isolated_nodes(res):
+    # at c = 0.3 the nodes at (+-1, 0) and (0, +-1) are isolated points; an
+    # odd res puts them on grid vertices, which the grid sees as loops of four
+    lines = assert_same_lines(catalog("round", {"c": 0.3}).compile(), (-2.0, 2.0, -2.0, 2.0), res)
+    assert sum(pl.closed and len(pl.points) == 4 for pl in lines) == (4 if res % 2 else 0)
+
+
+def test_dedup_keeps_the_ends_of_a_chain_of_near_points(monkeypatch):
+    # a-b and b-c lie within DEDUP_TOL, a-c does not: a and c are kept
+    a, b, c = (0.5, 0.5), (0.5 + 0.6 * DEDUP_TOL, 0.5), (0.5 + 1.2 * DEDUP_TOL, 0.5)
+    assert math.hypot(b[0] - a[0], 0) < DEDUP_TOL and math.hypot(c[0] - b[0], 0) < DEDUP_TOL
+    assert math.hypot(c[0] - a[0], 0) >= DEDUP_TOL
+    refined = [np.array(p) for p in (c, a, b, a)]
+    monkeypatch.setattr(analysis, "_refine_newton", lambda jet, seeds, span: refined)
+    found = critical_points(parse_polynomial("x^2 + y^2"), (0.0, 1.0, 0.0, 1.0), 2)
+    assert [(cp.x, cp.y) for cp in found] == [a, c]
 
 
 PHASE_SHIFTED = "cos(pi*x + 0.3) - 0.4*sin(pi*(x + y) - 1.1)"

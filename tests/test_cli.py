@@ -454,6 +454,20 @@ def test_sample_refusal_prints_one_error_line():
     assert proc.stderr.startswith("error: upp is not finite on this grid")
 
 
+def test_nulllines_refuses_non_finite_values(tmp_path):
+    # x^64*y^64 overflows on this grid: no vertices, and no numpy warnings
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "polynomial", "expr": "x^64*y^64 - 1"}))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trapnet.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trapnet", "nulllines", str(spec),
+         "--window=-1e4,1e4,-1e4,1e4", "--res", "9"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: P is not finite on this grid: the window is out of range\n"
+
+
 def test_verify_refuses_non_finite_stencil_values():
     # cosh(k z) overflows near z = 300: no verdict, and no numpy warnings
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trapnet.__file__))}

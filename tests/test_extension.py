@@ -349,6 +349,18 @@ def test_bad_derivative_count_is_refused(name, bad):
             call()
 
 
+@pytest.mark.parametrize("name", ["cusp", "round"])  # the Partials and mode_sum paths
+@pytest.mark.parametrize("order", [(True, False), (0, True), (False, 0)])
+def test_bool_derivative_count_is_refused(name, order):
+    # isinstance(True, int) holds: (True, False) used to give the x-derivative
+    jet = PlanarJet(catalog(name).compile())
+    for x, y in ((0.3, 0.4), (np.array([0.3, 0.5]), np.array([0.4, 0.1]))):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            jet.partials([order], x, y)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        synthesize(catalog(name).compile()).partials([(*order, 0)], 0.3, 0.4, 0.5)
+
+
 @pytest.mark.parametrize("method", ["hessian", "third", "pseudopotential_gradient",
                                     "pseudopotential_hessian"])
 def test_point_only_methods_refuse_arrays(method):
