@@ -134,8 +134,7 @@ class PlanarJet:
     """
 
     def __init__(self, generator):
-        self._arrays = isinstance(generator, Poly2)
-        if self._arrays:
+        if isinstance(generator, Poly2):
             self._engine = Partials(generator)
         elif isinstance(generator, FourierGen):
             self._engine = generator
@@ -144,8 +143,7 @@ class PlanarJet:
 
     def partials(self, orders, x, y) -> list:
         """Analytic partial derivatives, one per (nx, ny) order (``extension._on_open_axes``)."""
-        return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y,
-                             arrays=self._arrays)
+        return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y)
 
     def deriv(self, nx: int, ny: int, x, y):
         return self.partials(((nx, ny),), x, y)[0]
@@ -243,11 +241,9 @@ def null_lines(generator, window, resolution: int) -> list[Polyline]:
     ykeys = np.flatnonzero(neg[:, :-1] != neg[:, 1:])
     xi, xj = np.divmod(xkeys, n)
     yi, yj = np.divmod(ykeys, n - 1)
-    va, vb = values[xi, xj], values[xi + 1, xj]
-    t = np.minimum(np.maximum(va / (va - vb), 0.0), 1.0)
+    t = _crossing(values[xi, xj], values[xi + 1, xj])
     vx = np.concatenate((xs[xi] + t * (xs[xi + 1] - xs[xi]), xs[yi]))
-    va, vb = values[yi, yj], values[yi, yj + 1]
-    t = np.minimum(np.maximum(va / (va - vb), 0.0), 1.0)
+    t = _crossing(values[yi, yj], values[yi, yj + 1])
     vy = np.concatenate((ys[xj], ys[yj] + t * (ys[yj + 1] - ys[yj])))
     keys = np.concatenate((xkeys, n * (n - 1) + ykeys))
 
@@ -280,6 +276,17 @@ def null_lines(generator, window, resolution: int) -> list[Polyline]:
     # crossings that clamp to one grid corner give a segment of no length: dropped
     a, b = ends[:, 0], ends[:, 1]
     return _chain_segments(ends[(vx[a] != vx[b]) | (vy[a] != vy[b])], vx, vy)
+
+
+def _crossing(va, vb):
+    """Where the line from value ``va`` at 0 to ``vb`` at 1 crosses zero, in [0, 1];
+    where ``va - vb`` overflows, both are halved first, an exact scaling there."""
+    with np.errstate(over="ignore"):
+        d = va - vb
+    wide = ~np.isfinite(d)
+    if wide.any():
+        va, d = np.where(wide, 0.5 * va, va), np.where(wide, 0.5 * va - 0.5 * vb, d)
+    return np.minimum(np.maximum(va / d, 0.0), 1.0)
 
 
 def _chain_segments(ends, xs, ys) -> list[Polyline]:
@@ -428,7 +435,8 @@ def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.nd
         g = np.column_stack((gx, gy))
         h = np.stack((hxx, hxy, hxy, hyy), axis=-1).reshape(-1, 2, 2)
         scale = np.maximum(np.maximum(np.maximum(abs(hxx), abs(hxy)), abs(hyy)), 1e-30)
-        newton = abs(np.linalg.det(h)) > 1e-12 * scale * scale
+        with np.errstate(divide="ignore"):  # a subnormal Hessian's det warns, and is +-0.0
+            newton = abs(np.linalg.det(h)) > 1e-12 * scale * scale
         step = np.empty_like(g)
         if newton.any():
             step[newton] = np.linalg.solve(h[newton], -g[newton, :, None])[:, :, 0]

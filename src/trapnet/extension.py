@@ -168,9 +168,10 @@ class FourierField:
     def __init__(self, gen: FourierGen):
         self._gen = gen
         self._p00 = gen.amplitude(0, 0).real
-        # the mean mode has no sinh kernel: p00 is added after the mode sum
-        self._waves = tuple(wave for mode, wave in zip(gen.modes, gen.waves)
-                            if (mode.m, mode.n) != (0, 0))
+        # the mean mode has no sinh kernel: p00 is added after the mode sum; a
+        # tuple from a list, for the free lists (generators.mode_sum)
+        self._waves = tuple([wave for mode, wave in zip(gen.modes, gen.waves)
+                             if (mode.m, mode.n) != (0, 0)])
 
     @property
     def gen(self) -> FourierGen:
@@ -254,7 +255,7 @@ def _open(c):
     return c if bits.shape == c.shape else bits.view(np.float64).copy()
 
 
-def _on_open_axes(evaluate, *coords, arrays=False) -> list:
+def _on_open_axes(evaluate, *coords) -> list:
     """``evaluate(*coords)``, a list of values, on arrays of the points' broadcast shape.
 
     Every front end of ``Field`` and ``PlanarJet`` evaluates here, through
@@ -264,17 +265,17 @@ def _on_open_axes(evaluate, *coords, arrays=False) -> list:
     elementwise, and numpy's ufuncs give an element the same bits at any array
     length or stride, so the results are the dense grid's bit for bit.
 
-    The polynomial front ends pass ``arrays``: a coordinate that is not an array
-    goes in as a 0-d float64 array, so that a point takes numpy's array power,
-    as a grid does, and a point's values come back as floats.
+    A coordinate that is not an array goes in as a 0-d float64 array, so that a
+    point takes numpy's array arithmetic (a polynomial's array power, a float32's
+    float64 value) as a grid does, and a point's values come back as floats.
     """
     # float64 before the cut, which takes float64 only
-    coords = [_float64(c) if isinstance(c, np.ndarray) or not arrays
-              else np.asarray(c, dtype=np.float64) for c in coords]
-    # a point is checked first: np.shape of a float and np.broadcast_shapes cost microseconds
-    if not any(getattr(c, "ndim", 0) for c in coords):
+    coords = [_float64(c) if isinstance(c, np.ndarray) else np.asarray(c, dtype=np.float64)
+              for c in coords]
+    # a point is checked first: np.broadcast_shapes costs microseconds
+    if not any(c.ndim for c in coords):
         return [float(v) for v in evaluate(*coords)]
-    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
     values = evaluate(*(_open(c) for c in coords))
     return [np.broadcast_to(v, shape) for v in values]
 
@@ -288,8 +289,7 @@ class Field:
     """
 
     def __init__(self, potential, params: TrapParams | None = None):
-        self._arrays = isinstance(potential, ZSeries)
-        if self._arrays:
+        if isinstance(potential, ZSeries):
             self._engine = Partials(potential)
         elif isinstance(potential, FourierField):
             self._engine = potential
@@ -304,8 +304,7 @@ class Field:
 
     def partials(self, orders, x, y, z) -> list:
         """Analytic partial derivatives, one per (nx, ny, nz) order (:func:`_on_open_axes`)."""
-        return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y, z,
-                             arrays=self._arrays)
+        return _on_open_axes(lambda *p: self._engine.partials(orders, *p), x, y, z)
 
     def _at_point(self, method: str, orders, x, y, z) -> list:
         """``partials`` at one point, for the methods that build tensors of one point."""
@@ -342,7 +341,7 @@ class Field:
         def upp(*p):
             gx, gy, gz = self._engine.partials(_GRADIENT, *p)
             return [self.kappa * (gx * gx + gy * gy + gz * gz)]
-        return _on_open_axes(upp, x, y, z, arrays=self._arrays)[0]
+        return _on_open_axes(upp, x, y, z)[0]
 
     def pseudopotential_gradient(self, x, y, z) -> np.ndarray:
         d = self._at_point("pseudopotential_gradient", _GRADIENT + _HESSIAN, x, y, z)

@@ -30,7 +30,8 @@ is computed once, and a parameter leaf and each operation above it are
 replayed in source order whenever values are bound.  Those are the same
 float operations on the same operands as a parse with the values bound, so
 a bound program gives the same bits and the same first error.  A text whose
-program cannot be built is parsed in one pass, values bound, at every call.
+build raises keeps the steps recorded before the error and then raises a
+copy of it, so it is tokenized and parsed once too.
 """
 
 from __future__ import annotations
@@ -138,16 +139,20 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive-descent parser that compiles as it goes, in one pass with its
-    parameters bound; ``family`` makes the leaves and the values' own
-    ``+ - * ** unary-`` apply the operators, each through :meth:`apply`."""
+    """Recursive-descent parser that compiles as it goes; ``family`` makes the
+    leaves and the values' own ``+ - * ** unary-`` apply the operators, each
+    through :meth:`apply`.  A parameter in ``names``, and each operation with
+    an operand that depends on one, is recorded in ``steps`` instead, in
+    source order, for a :class:`_Program`."""
 
-    def __init__(self, src: str, family, params):
+    def __init__(self, src: str, family, names):
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
         self.family = family
-        self.params = params
+        self.names = names
+        self.steps = []
+        self.fixed_waves = True  # no parameter inside a trig argument
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -251,16 +256,23 @@ class _Parser:
             return self.apply(self.family.call, tok, arg)
         if tok.text == "pi":
             return self.family.number(math.pi)
-        if tok.text in self.params:
+        if tok.text in self.names:
             return self.parameter(tok)
         raise ParseError(f"unbound parameter {tok.text!r}", tok.pos)
 
-    @staticmethod
-    def apply(fn, *args):
+    def apply(self, fn, *args):
+        if any(type(a) is _Slot for a in args):
+            return self.step(fn, args)
         return fn(*args)
 
     def parameter(self, tok: _Token):
-        return _number(self.family.number, tok, self.params)
+        if self.family is _Linear:
+            self.fixed_waves = False
+        return self.step(_number, (self.family.number, tok, _PARAMS))
+
+    def step(self, fn, args) -> _Slot:
+        self.steps.append((fn, args))
+        return _Slot(len(self.steps) - 1)
 
     def nested(self, opener: _Token, family):
         """Compile the expression inside parentheses, one nesting level down."""
@@ -447,9 +459,10 @@ class FourierGen:
             if (m, n) > (-m, -n):
                 merged[(m, n)] = merged[(-m, -n)].conjugate()
         self._periods = (lx, ly)
-        self._modes = tuple(FourierMode(m, n, merged[(m, n)]) for (m, n) in sorted(merged))
-        self._waves = tuple((2 * math.pi * mode.m / lx, 2 * math.pi * mode.n / ly, mode.amp)
-                            for mode in self._modes)
+        # tuples from lists, for the free lists (mode_sum)
+        self._modes = tuple([FourierMode(m, n, merged[(m, n)]) for (m, n) in sorted(merged)])
+        self._waves = tuple([(2 * math.pi * mode.m / lx, 2 * math.pi * mode.n / ly, mode.amp)
+                             for mode in self._modes])
 
     @property
     def periods(self) -> tuple[float, float]:
@@ -550,7 +563,8 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     called once per wave and distinct ``order[2:]``.  Each term's real part is
     added into a float sum from +0.0, which is the real part of the complex
     sum bit for bit.  Every order is checked by
-    :func:`~trapnet.algebra.check_order` first.
+    :func:`~trapnet.algebra.check_order` first, and its counts are taken as
+    Python ints: a numpy integer count gives the bits of the equal int.
 
     A term is formed in real arithmetic where that gives the same bits, and
     each of ``cos(phase)``, ``sin(phase)`` and ``exp(1j*phase)`` is computed at
@@ -565,13 +579,11 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     finite everywhere, where ``0 * inf`` makes the complex product nan.
 
     Each wave's nonzero factors ``(1j*kx)**nx * (1j*ky)**ny`` come from one
-    table per wavevectors, orders and the orders' count types
-    (:class:`_PointTable`), kept in the memo and read by the loop and by the
-    point pass alike; an int count and an equal numpy integer one have tables
-    of their own, each with its own complex power.
+    table per wavevectors and orders (:class:`_PointTable`), kept in the memo
+    and read by the loop and by the point pass alike.
 
-    At a point, finite float coordinates x and y, the sums are formed in one
-    array pass over the waves instead (:func:`_point_sum`), with the same
+    At a point, finite scalar or 0-d coordinates x and y, the sums are formed
+    in one array pass over the waves instead (:func:`_point_sum`), with the same
     bits: every term is ``(c.real*K)*cos(phase) - (c.imag*K)*sin(phase)``,
     which is the real or imaginary form above when one part of c is zero, and
     numpy's scalar complex product, which does not fuse, when neither is.
@@ -580,25 +592,23 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     else, such as None, leaves the sums to the loop.  The terms of a wave
     whose coefficient is zero at an order are +-0.0, and ``np.add.accumulate``
     adds each order's terms in wave order; plus 0.0, the sum is the loop's
-    sum from +0.0.  Where a coefficient or kernel value is not finite, or a
-    count is not an int, the sums are formed by the loop too.
+    sum from +0.0.  Where a coefficient or kernel value is not finite, the
+    sums are formed by the loop too.
     """
     # each tuple is built from a list: the interpreter sizes it once, where
     # tuple(map(...)) resizes it, and a resized tuple, once freed, stays on a
     # free list until the next full garbage collection
     orders = tuple([tuple(order) for order in orders])
-    counts = [n for order in orders for n in order]
-    types = tuple([type(n) for n in counts])
-    if not ({int}.issuperset(types) and min(counts, default=0) >= 0):
+    if not all(type(n) is int and n >= 0 for order in orders for n in order):
         for order in orders:
             check_order(order)
-    # an int count and an equal numpy integer one compare equal: the key keeps them apart
-    key = (_PointTable, tuple([_WAVEVECTOR(wave) for wave in waves]), orders, types)
+        orders = tuple([tuple([int(n) for n in order]) for order in orders])
+    key = (_PointTable, tuple([_WAVEVECTOR(wave) for wave in waves]), orders)
     table = _MEMO.get(key)
     if table is None:
         table = _PointTable(key[1], orders)
         _MEMO.put(key, table, len(waves) + len(orders) + table.fr.size)
-    if isinstance(x, float) and isinstance(y, float) and math.isfinite(x) and math.isfinite(y):
+    if np.ndim(x) == np.ndim(y) == 0 and math.isfinite(x) and math.isfinite(y):
         sums = _point_sum(table, waves, x, y, kernel)
         if sums is not None:
             return sums
@@ -643,10 +653,9 @@ class _PointTable:
     and ``fi`` are the real and imaginary parts of every factor, for the point
     pass.  A factor has a zero part wherever it is finite, so ``amp * factor``
     has the bits of ``(ar*fr - ai*fi) + (ar*fi + ai*fr)j`` in real
-    arithmetic; a table where that does not hold, or with a count that is not
-    an int, is not ``usable`` by the point pass.  ``kernel_orders`` holds the
-    first order of each distinct ``order[2:]``, and ``columns`` the index of
-    each order's.
+    arithmetic; a table where that does not hold is not ``usable`` by the
+    point pass.  ``kernel_orders`` holds the first order of each distinct
+    ``order[2:]``, and ``columns`` the index of each order's.
     """
 
     __slots__ = ("rows", "factors", "kx", "ky", "along_x", "along_y", "fr", "fi", "usable",
@@ -663,8 +672,7 @@ class _PointTable:
                 dense.append(row)
         f = np.array(dense, dtype=complex).reshape(len(self.rows), len(orders))
         self.fr, self.fi = f.real.copy(), f.imag.copy()
-        self.usable = bool(all(type(n) is int for order in orders for n in order)
-                           and np.isfinite(f).all() and not ((self.fr != 0) & (self.fi != 0)).any())
+        self.usable = bool(np.isfinite(f).all() and not ((self.fr != 0) & (self.fi != 0)).any())
         self.kx = np.array([wavevectors[w][0] for w in self.rows], dtype=float)
         self.ky = np.array([wavevectors[w][1] for w in self.rows], dtype=float)
         # _phase's axial rule: kx*x where ky == 0, ky*y where only kx == 0
@@ -681,7 +689,7 @@ class _PointTable:
 _WAVEVECTOR = operator.itemgetter(0, 1)
 
 
-def _point_sum(table: _PointTable, waves, x: float, y: float, kernel) -> list | None:
+def _point_sum(table: _PointTable, waves, x, y, kernel) -> list | None:
     """``mode_sum`` at one finite point in one array pass, or None where the
     loop must form the sums."""
     if not table.usable:
@@ -725,32 +733,11 @@ class _Slot(int):
 _PARAMS = object()  # the operand a parameter step takes its values from
 
 
-class _Builder(_Parser):
-    """The parser that builds a :class:`_Program`.
-
-    Values that depend on no parameter are computed as the one-pass parser
-    computes them.  A parameter leaf, and each operation with an operand that
-    depends on one, is recorded as a step instead, in source order.
-    """
-
-    def __init__(self, src: str, family, names):
-        super().__init__(src, family, names)
-        self.steps = []
-        self.fixed_waves = True  # no parameter inside a trig argument
-
-    def apply(self, fn, *args):
-        if any(type(a) is _Slot for a in args):
-            return self.step(fn, args)
-        return fn(*args)
-
-    def parameter(self, tok: _Token):
-        if self.family is _Linear:
-            self.fixed_waves = False
-        return self.step(_number, (self.family.number, tok, _PARAMS))
-
-    def step(self, fn, args) -> _Slot:
-        self.steps.append((fn, args))
-        return _Slot(len(self.steps) - 1)
+def _raise(error: GeneratorError):
+    """Raise a fresh copy of a kept build error: its type, message and ``pos``."""
+    fresh = type(error).__new__(type(error), *error.args)
+    fresh.__dict__.update(vars(error))
+    raise fresh
 
 
 class _Program:
@@ -758,8 +745,8 @@ class _Program:
     that does not computed once.
 
     :meth:`bind` replays the steps in source order: the same operations on the
-    same operands as a one-pass parse with the parameters bound, so the same
-    bits and the same first error.  When no wavevector depends on a
+    same operands as a parse with the parameters bound would apply, so the
+    same bits and the same first error.  When no wavevector depends on a
     parameter, ``keys`` keeps the mode of each wave after the first bind.
     """
 
@@ -813,7 +800,6 @@ class _Memo:
 
 # programs, generators and wave tables (see mode_sum), by text or wavevectors
 _MEMO = _Memo(_MEMO_WEIGHT)
-_UNBUILT = object()  # a text whose program could not be built
 
 
 def _weight(expr: str, entry) -> int:
@@ -837,18 +823,17 @@ def _compile(expr: str, family, params: dict, periods=None):
     """The generator of ``expr`` with ``params`` bound, through the memo.
 
     A text is built once per family, parameter names and periods: to its
-    generator when it uses no parameter, otherwise to a :class:`_Program`.  A
-    text whose build raises is kept as such, and compiled in one pass with
-    the parameters bound at every call, so its errors keep their source
-    order and it is not built again.
+    generator when it uses no parameter and builds, otherwise to a
+    :class:`_Program`.  The program of a text whose build raises keeps the
+    steps recorded before the error, then a step that raises a copy of it,
+    so every call replays the earlier steps first and reports the first
+    error in source order.
     """
     key = (family, expr, frozenset(params), periods)
     entry = _MEMO.get(key)
     if entry is None:
         entry = _build(expr, family, key[2], periods)
         _MEMO.put(key, entry, _weight(expr, entry))
-    if entry is _UNBUILT:
-        return _finish(_Parser(expr, family, params).parse(), periods)
     if not isinstance(entry, _Program):
         return entry
     known = entry.keys is not None
@@ -859,15 +844,21 @@ def _compile(expr: str, family, params: dict, periods=None):
 
 
 def _build(expr: str, family, names, periods):
-    """The generator or program of a text, or _UNBUILT where building raises."""
+    """The generator or program of a text; a program whose build raised ends
+    in a step that raises a copy of the error.  The kept error drops its
+    traceback, whose frames would keep the parser and its tokens, and context."""
+    steps = []
     try:
-        builder = _Builder(expr, family, names)
-        value = builder.parse()
-        if builder.steps:
-            return _Program(builder.steps, builder.fixed_waves)
+        parser = _Parser(expr, family, names)
+        steps = parser.steps
+        value = parser.parse()
+        if steps:
+            return _Program(steps, parser.fixed_waves)
         return _finish(value, periods)
-    except GeneratorError:
-        return _UNBUILT
+    except GeneratorError as exc:
+        error = exc.with_traceback(None)
+        error.__context__ = None
+    return _Program([*steps, (_raise, (error,))], False)
 
 
 def _finish(value, periods, program: _Program | None = None):

@@ -46,6 +46,8 @@ TOL_BOUNDARY_SLOPE = 1e-7
 
 
 def _validate_step(h: float) -> None:
+    if isinstance(h, bool) or not isinstance(h, (int, float, np.integer, np.floating)):
+        raise ValueError(f"h must be a real number, got {h!r}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive, got {h}")
 
@@ -68,8 +70,6 @@ class VerifyConfig:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.samples > MAX_SAMPLES:
             raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
-        if isinstance(self.h, bool) or not isinstance(self.h, (int, float, np.integer, np.floating)):
-            raise ValueError(f"h must be a real number, got {self.h!r}")
         _validate_step(self.h)
         validate_window(self.window, 3)
 

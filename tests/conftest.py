@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from trapnet import Poly2
+from trapnet import generators
 
 finite_coeffs = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -29,3 +30,15 @@ def random_poly(rng: np.random.Generator, max_degree=10, max_terms=12) -> Poly2:
         j = int(rng.integers(0, max_degree + 1 - i))
         terms[(i, j)] = float(rng.uniform(-1.0, 1.0))
     return Poly2(terms)
+
+
+class OnePassParser(generators._Parser):
+    """The reference compile: one pass, each parameter's value bound as it is
+    read, so no value depends on a step and no step is recorded."""
+
+    def __init__(self, src, family, params):
+        super().__init__(src, family, params)
+        self.params = params
+
+    def parameter(self, tok):
+        return generators._number(self.family.number, tok, self.params)

@@ -90,6 +90,20 @@ def test_null_lines_refuse_values_that_are_not_finite():
     assert not isinstance(err.value, AnalysisError)
 
 
+@pytest.mark.parametrize("expr, line", [
+    ("1.5e308*x", [(0.0, -1.0), (0.0, 1.0)]),
+    ("1.5e308*y", [(-1.0, 0.0), (1.0, 0.0)]),
+    ("1.5e300*x", [(0.0, -1.0), (0.0, 1.0)]),
+])
+def test_null_lines_interpolate_across_an_overflowing_difference(expr, line):
+    # P differs by more than the float range across each cell edge; the
+    # vertex used to clamp to the cell corner x = -1, after numpy's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = null_lines(parse_polynomial(expr), (-1, 1, -1, 1), 2)
+    assert got == [analysis.Polyline(line, False)]
+
+
 def test_null_lines_constant_generator():
     for c in (0.0, 1.0, -1.0):
         assert null_lines(Poly2({(0, 0): c}), (-1, 1, -1, 1), 8) == []

@@ -42,7 +42,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import polys
@@ -171,7 +171,9 @@ def reference_refine_newton(jet, p, span, max_iter=120, arrays=False):
         hxx, hxy, hyy = partials(((2, 0), (1, 1), (0, 2)), p)
         h = np.array([[hxx, hxy], [hxy, hyy]])
         scale = max(np.abs(h).max(), 1e-30)
-        if abs(np.linalg.det(h)) > 1e-12 * scale * scale:
+        with np.errstate(divide="ignore"):  # a subnormal Hessian's det warns, and is +-0.0
+            newton = abs(np.linalg.det(h)) > 1e-12 * scale * scale
+        if newton:
             step = np.linalg.solve(h, -g)
         else:
             hth = h.T @ h
@@ -351,6 +353,7 @@ def test_null_lines_matches_cell_loop(p, window, res):
 @settings(max_examples=60, deadline=None)
 @given(polys(max_degree=4, max_terms=5, coeffs=coeffs), windows(),
        st.integers(2, 5))
+@example(Poly2({(1, 1): 2.225073858507e-311}), (-2.0, -1.0, -2.0, -1.0), 2)  # subnormal Hessian
 def test_refine_newton_matches_two_call_loop(p, window, res):
     assert_same_newton(p, window, res)
 

@@ -7,7 +7,7 @@ compile checks each distinct wavevector once and sums the amplitudes of
 equal modes in wave order before ``FourierGen`` sees them.  Both must give
 the same generator, with equal ``repr`` and equal bits in every wave, and the
 same error text.  The reference parses in one pass with the parameters bound
-(``generators._Parser``), not through the memo of built programs that
+(``conftest.OnePassParser``), not through the memo of built programs that
 ``parse_fourier`` now rebinds, so a rebound program is checked here too.
 
 The expressions are ``round`` on both sides of its threshold and at extreme
@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import OnePassParser
 from trapnet import FourierGen, FourierMode, GeneratorError, catalog, parse_fourier
 from trapnet import generators
 
@@ -31,7 +32,7 @@ PERIODS = (2.0, 2.0)
 
 
 def reference_parse_fourier(expr, periods, params=None) -> FourierGen:
-    waves = generators._Parser(expr, generators._Waves, params or {}).parse()
+    waves = OnePassParser(expr, generators._Waves, params or {}).parse()
     lx, ly = float(periods[0]), float(periods[1])
     modes = []
     for a, b, amp in waves:

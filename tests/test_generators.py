@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polys
+from conftest import OnePassParser, polys
 from trapnet import (FourierGen, GeneratorError, GeneratorSpec, ParseError, Poly2, catalog,
                      catalog_names, load_spec, parse_fourier, parse_polynomial)
 from trapnet import generators
@@ -78,7 +78,7 @@ def fresh_memo(monkeypatch):
 def _one_pass(expr, params, periods=None):
     """The generator of a one-pass parse with the parameters bound."""
     values = generators._Polynomial if periods is None else generators._Waves
-    return generators._finish(generators._Parser(expr, values, params).parse(), periods)
+    return generators._finish(OnePassParser(expr, values, params).parse(), periods)
 
 
 def _outcome(compile_):
@@ -190,6 +190,45 @@ def test_a_family_is_built_once_and_rebound(fresh_memo):
     # a text without parameters is kept as its generator
     assert parse_fourier("cos(pi*x)", (2.0, 2.0)) is parse_fourier("cos(pi*x)", (2.0, 2.0))
     assert parse_polynomial("x*y") is catalog("cross").compile()
+
+
+@pytest.mark.parametrize("family, expr, params", [
+    ("polynomial", "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), {}),
+    ("polynomial", "c*x + $", {"c": 1.0}),
+    ("fourier", "c*cos(pi*x) + k", {"c": 1.0}),
+    ("fourier", "c*cos(pi*x) + k", {"c": math.inf}),
+    ("polynomial", "1e200^2*x", {}),
+])
+def test_a_failed_build_is_tokenized_once(fresh_memo, monkeypatch, family, expr, params):
+    periods = (2.0, 2.0) if family == "fourier" else None
+    texts = []
+    tokenize = generators._tokenize
+    monkeypatch.setattr(generators, "_tokenize", lambda src: texts.append(src) or tokenize(src))
+    errors = []
+    for _ in range(3):
+        with pytest.raises(GeneratorError) as err:
+            _compiled(expr, params, periods)
+        errors.append(err.value)
+    assert texts == [expr]
+    # a fresh error at every call, each the one-pass parse's
+    assert len({id(error) for error in errors}) == 3
+    want = _outcome(lambda: _one_pass(expr, params, periods))
+    assert [(type(e), str(e), getattr(e, "pos", None)) for e in errors] == [want] * 3
+
+
+def test_the_memo_keeps_a_build_error_without_frames(fresh_memo):
+    expr = "cos((c*x)*x) + cos(x*y)"
+    with pytest.raises(ParseError) as built:
+        generators._Parser(expr, generators._Waves, frozenset({"c"})).parse()
+    # the build raises from the refused product, in the parser's frames
+    assert built.value.__traceback__ is not None and built.value.__context__ is not None
+    with pytest.raises(ParseError) as err:
+        parse_fourier(expr, (2.0, 2.0), {"c": 0.0})
+    program = fresh_memo.get((generators._Waves, expr, frozenset({"c"}), (2.0, 2.0)))
+    fn, (kept,) = program.steps[-1]
+    assert fn is generators._raise and kept is not err.value
+    assert (type(kept), str(kept), kept.pos) == (ParseError, str(built.value), 20)
+    assert kept.__traceback__ is None and kept.__context__ is None and kept.__cause__ is None
 
 
 def test_the_memo_keeps_to_its_weight_budget(fresh_memo):

@@ -339,6 +339,19 @@ def test_numpy_integer_and_bool_coordinates_give_the_bits_of_floats(gen):
             assert _typed_bits(front(*point)) == _typed_bits(front(*floats)), quantity
 
 
+def test_a_float32_point_gives_the_bits_of_its_float64_value():
+    # both families take a point as 0-d float64 arrays; round used to sum its
+    # modes in float32 arithmetic there, -0.5236068964004517 against
+    # -0.5236068262441667 at c = 0.2
+    for gen in (catalog("round", {"c": 0.2}).compile(), catalog("cusp").compile()):
+        jet, fld = PlanarJet(gen), synthesize(gen)
+        point = (np.float32(0.3), np.float32(0.7), np.float32(0.1))
+        floats = [float(c) for c in point]
+        for front, n in ((jet.value, 2), (jet.grad, 2), (fld.value, 3),
+                         (fld.pseudopotential, 3), (fld.hessian, 3)):
+            assert _typed_bits([front(*point[:n])]) == _typed_bits([front(*floats[:n])]), front
+
+
 def test_the_engines_take_numpy_integer_and_bool_coordinates_as_floats():
     gen = parse_polynomial("x^40")
     series = odd_extend(gen)

@@ -1,15 +1,18 @@
 """Fourier mode sums at a point, in one array pass, against the per-term loop.
 
-At finite float coordinates ``generators.mode_sum`` forms its sums in one
-array pass over the waves (``generators._point_sum``); arrays, and points
+At finite scalar or 0-d coordinates ``generators.mode_sum`` forms its sums in
+one array pass over the waves (``generators._point_sum``); arrays, and points
 where a coefficient or kernel value is not finite, go through the per-term
 loop.  Both must give the same bits, compared as ``float.hex``.
 
-The same points as 0-d arrays take the loop with numpy's scalar arithmetic,
-which the point pass must equal for every generator.  As 1-element arrays
-they take the loop over arrays, where numpy's complex product may fuse its
-multiply and subtraction; that equals the point pass where every amplitude
-is real or imaginary, so only those generators are compared with it.
+The front ends take a point as 0-d float64 arrays, so a float point and the
+same point as 0-d arrays both take the point pass.  The reference is the loop
+at that point, forced by a ``_point_sum`` that leaves every sum to it, with
+numpy's 0-d arithmetic; the point pass must equal it for every generator.
+As 1-element arrays the points take the loop over arrays, where numpy's
+complex product may fuse its multiply and subtraction; that equals the point
+pass where every amplitude is real or imaginary, so only those generators
+are compared with it.
 
 The generators are round, spec-sweep's four Fourier templates at seed 0 and
 a phase-shifted generator; the orders are every order up to
@@ -18,8 +21,9 @@ a phase-shifted generator; the orders are every order up to
 A point (x, y) beside an array of z values is left to the loop as well.
 
 The loop and the point pass read one memoized table of wave factors per
-wavevectors, orders and count types: points, arrays and Newton's batches of
-one generator share it, and int and numpy integer orders each have their own.
+wavevectors and orders: points, arrays and Newton's batches of one generator
+share it, and so do int and numpy integer orders, whose counts are taken as
+ints.
 """
 
 import itertools
@@ -67,6 +71,13 @@ def passes(monkeypatch):
     return taken
 
 
+def _by_the_loop(monkeypatch, compute):
+    """``compute()`` with every point's sums left to the per-term loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(generators, "_point_sum", lambda *args: None)
+        return compute()
+
+
 def test_two_generators_have_general_complex_amplitudes():
     # the phase-shifted one and the template with a shifted sine
     assert sum(not _real_or_imaginary(gen) for gen in GENERATORS.values()) == 2
@@ -77,14 +88,17 @@ def _hex(values):
 
 
 @pytest.mark.parametrize("name", GENERATORS)
-def test_point_pass_matches_the_loop(passes, name):
+def test_point_pass_matches_the_loop(passes, monkeypatch, name):
     gen = GENERATORS[name]
     jet, fld = PlanarJet(gen), synthesize(gen)
     real_or_imaginary = _real_or_imaginary(gen)
     for x, y in POINTS:
         at_point = jet.partials(ORDERS_2D, x, y)
         assert passes.pop() and all(type(v) is float for v in at_point)
-        want = _hex(jet.partials(ORDERS_2D, np.asarray(x), np.asarray(y)))
+        # a point as 0-d arrays takes the point pass too
+        assert _hex(jet.partials(ORDERS_2D, np.asarray(x), np.asarray(y))) == _hex(at_point)
+        assert passes.pop()
+        want = _hex(_by_the_loop(monkeypatch, lambda: jet.partials(ORDERS_2D, x, y)))
         assert _hex(at_point) == want, (x, y)
         if real_or_imaginary:
             assert _hex(jet.partials(ORDERS_2D, np.array([x]), np.array([y]))) == want, (x, y)
@@ -93,8 +107,10 @@ def test_point_pass_matches_the_loop(passes, name):
                 at_point = fld.partials(ORDERS_3D, x, y, z)
                 # the kernel overflows at z = 300, and the loop forms the sums
                 assert passes.pop() == (z != 300.0)
-                want = _hex(fld.partials(ORDERS_3D, np.asarray(x), np.asarray(y),
-                                         np.asarray(z)))
+                got = fld.partials(ORDERS_3D, np.asarray(x), np.asarray(y), np.asarray(z))
+                assert _hex(got) == _hex(at_point) and passes.pop() == (z != 300.0)
+                want = _hex(_by_the_loop(monkeypatch,
+                                         lambda: fld.partials(ORDERS_3D, x, y, z)))
                 assert _hex(at_point) == want, (x, y, z)
                 if real_or_imaginary:
                     got = fld.partials(ORDERS_3D, np.array([x]), np.array([y]), np.array([z]))
@@ -124,11 +140,14 @@ def test_each_set_of_orders_has_its_own_table(passes):
     assert all(passes)
 
 
-def test_point_pass_leaves_numpy_integer_orders_to_the_loop(passes):
+def test_numpy_integer_orders_take_the_int_bits(passes):
     gen = GENERATORS["phase-shifted"]
     orders = [(np.int64(nx), ny) for nx, ny in ORDERS_2D]
     assert _hex(gen.partials(orders, 0.3, -0.7)) == _hex(gen.partials(ORDERS_2D, 0.3, -0.7))
-    assert passes == [False, True]
+    assert passes == [True, True]
+    xs, ys = np.linspace(-1.9, 1.7, 7), np.linspace(0.6, -1.3, 7)
+    for got, want in zip(gen.partials(orders, xs, ys), gen.partials(ORDERS_2D, xs, ys)):
+        assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="non-negative integers"):
         gen.partials([(1, 0), (-1, 0)], 0.3, -0.7)
     with pytest.raises(ValueError, match="non-negative integers"):
@@ -144,23 +163,21 @@ def tables(monkeypatch):
                     if key[0] is generators._PointTable}
 
 
-def test_int_and_numpy_integer_orders_have_tables_of_their_own(tables):
+def test_int_and_numpy_integer_orders_share_one_table(tables):
     gen = GENERATORS["phase-shifted"]
     orders = [(np.int64(nx), ny) for nx, ny in ORDERS_2D]
-    gen.partials(ORDERS_2D, 0.3, -0.7)
     gen.partials(orders, np.array([0.3]), np.array([-0.7]))
-    kept = tables()
-    assert len(kept) == 2  # the orders compare equal; their count types do not
-    for key, table in kept.items():
-        assert table.usable == (key[3] == (int, int) * len(ORDERS_2D))
-        for w, factors in zip(table.rows, table.factors):
-            kx, ky = key[1][w]
-            for i, factor, order in factors:
-                # an int count takes Python's complex power, a numpy one numpy's
-                want = (1j * kx) ** order[0] * (1j * ky) ** order[1]
-                assert type(factor) is type(want) is (complex if table.usable else np.complex128)
-                assert (factor.real.hex(), factor.imag.hex()) == \
-                    (want.real.hex(), want.imag.hex()), (w, i)
+    gen.partials(ORDERS_2D, 0.3, -0.7)
+    (key, table), = tables().items()
+    assert table.usable and all(type(n) is int for order in key[2] for n in order)
+    for w, factors in zip(table.rows, table.factors):
+        kx, ky = key[1][w]
+        for i, factor, order in factors:
+            # every count is an int, and takes Python's complex power
+            want = (1j * kx) ** order[0] * (1j * ky) ** order[1]
+            assert type(factor) is complex
+            assert (factor.real.hex(), factor.imag.hex()) == \
+                (want.real.hex(), want.imag.hex()), (w, i)
 
 
 def test_points_arrays_and_newton_share_one_table(tables, passes):

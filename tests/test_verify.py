@@ -266,6 +266,15 @@ def test_step_must_be_a_real_number(value):
         VerifyConfig(h=value)
 
 
+@pytest.mark.parametrize("check", ["check_gradient", "check_laplace", "check_boundary"])
+@pytest.mark.parametrize("value", [True, "1e-4", None])
+def test_each_check_refuses_a_step_that_is_not_a_real_number(check, value):
+    fld, pts = synthesize(CUSP), sample_points(BOX2, 5)
+    args = (fld, CUSP, pts[:, :2]) if check == "check_boundary" else (fld, pts)
+    with pytest.raises(ValueError, match=re.escape(f"h must be a real number, got {value!r}")):
+        getattr(verify, check)(*args, h=value)
+
+
 def test_numpy_real_steps_are_accepted():
     assert VerifyConfig(h=np.float64(1e-4)) == VerifyConfig(h=1e-4)
     with pytest.raises(ValueError, match="step h must be finite and positive"):
