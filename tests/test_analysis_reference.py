@@ -23,7 +23,10 @@ memoized lower order along the same axis path; the derivatives must be equal.
 ``reference_multipole_order`` reads the Taylor coefficients of a polynomial
 field by recentering each series layer exactly, where ``multipole_order``
 now divides analytic derivatives by factorials.  The coefficients differ in
-the last bits, but the order, a threshold on them, must not.
+the last bits, so the order, a threshold on them, must be the same, except
+where a level lies on the threshold to within those bits (a point at x = 1e-9
+puts 25*x**3 on 1e-9 * 25*x**2): there the order must lie between the
+reference's orders at the threshold moved by a relative ``TIE`` either way.
 
 ``reference_poly_eval`` and ``reference_series_eval`` are the term-by-term
 loops of ``Poly2.eval`` and ``ZSeries.eval``, which raised each coordinate to
@@ -218,6 +221,10 @@ def reference_partials(base, orders, *coords):
     return out
 
 
+# relative width of a tie between a Taylor level and the multipole threshold
+TIE = 1e-12
+
+
 def reference_multipole_order(field, point3, max_order=4, tol=1e-9):
     x0, y0, z0 = point3
     coeffs = {}
@@ -377,11 +384,29 @@ points = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
 @settings(max_examples=150, deadline=None)
 @given(polys(max_degree=6, max_terms=5, coeffs=coeffs), points, points,
        st.one_of(st.just(0.0), points.filter(lambda z: z != 0.0)))
+@example(Poly2({(5, 0): 2.5}), 1e-09, -1.0, 0.0)  # x**2 z and x**3 z levels tie
 def test_multipole_order_matches_recentering(p, x, y, z):
     fld = synthesize(p)
     if fld.potential.is_zero():
         return
-    assert multipole_order(fld, (x, y, z)) == reference_multipole_order(fld, (x, y, z))
+    order = multipole_order(fld, (x, y, z))
+    # a lower threshold can only lower the order
+    low = reference_multipole_order(fld, (x, y, z), tol=1e-9 * (1 - TIE))
+    high = reference_multipole_order(fld, (x, y, z), tol=1e-9 * (1 + TIE))
+    if low == high:
+        assert order == low
+    else:
+        assert low <= order <= high
+
+
+def test_multipole_order_tie_is_on_the_threshold():
+    # the pinned example is a tie, not a miss: away from it both orders agree
+    fld = synthesize(Poly2({(5, 0): 2.5}))
+    assert reference_multipole_order(fld, (1e-9, -1.0, 0.0), tol=1e-9 * (1 - TIE)) == 3
+    assert reference_multipole_order(fld, (1e-9, -1.0, 0.0), tol=1e-9 * (1 + TIE)) == 4
+    for x in (2e-9, 5e-10):
+        point = (x, -1.0, 0.0)
+        assert multipole_order(fld, point) == reference_multipole_order(fld, point)
 
 
 @settings(max_examples=100, deadline=None)
