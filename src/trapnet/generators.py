@@ -734,9 +734,11 @@ _PARAMS = object()  # the operand a parameter step takes its values from
 
 
 def _raise(error: GeneratorError):
-    """Raise a fresh copy of a kept build error: its type, message and ``pos``."""
+    """Raise a fresh copy of a kept build error: its type, message, ``pos`` and
+    whether it hides the exception it was raised while handling."""
     fresh = type(error).__new__(type(error), *error.args)
     fresh.__dict__.update(vars(error))
+    fresh.__suppress_context__ = error.__suppress_context__
     raise fresh
 
 
@@ -856,9 +858,8 @@ def _build(expr: str, family, names, periods):
             return _Program(steps, parser.fixed_waves)
         return _finish(value, periods)
     except GeneratorError as exc:
-        error = exc.with_traceback(None)
-        error.__context__ = None
-    return _Program([*steps, (_raise, (error,))], False)
+        exc.__traceback__ = exc.__context__ = None
+        return _Program([*steps, (_raise, (exc,))], False)
 
 
 def _finish(value, periods, program: _Program | None = None):

@@ -24,9 +24,10 @@ memoized lower order along the same axis path; the derivatives must be equal.
 field by recentering each series layer exactly, where ``multipole_order``
 now divides analytic derivatives by factorials.  The coefficients differ in
 the last bits, so the order, a threshold on them, must be the same, except
-where a level lies on the threshold to within those bits (a point at x = 1e-9
-puts 25*x**3 on 1e-9 * 25*x**2): there the order must lie between the
-reference's orders at the threshold moved by a relative ``TIE`` either way.
+where a level lies on the threshold to within a few ulps (a point at x = 1e-9
+puts 25*x**3 on 1e-9 * 25*x**2, one ulp wide): there the order must lie
+between the reference's orders at the threshold moved by a relative ``TIE``
+either way.
 
 ``reference_poly_eval`` and ``reference_series_eval`` are the term-by-term
 loops of ``Poly2.eval`` and ``ZSeries.eval``, which raised each coordinate to
@@ -221,8 +222,9 @@ def reference_partials(base, orders, *coords):
     return out
 
 
-# relative width of a tie between a Taylor level and the multipole threshold
-TIE = 1e-12
+# relative width of a tie between a Taylor level and the multipole threshold:
+# a few ulps, the rounding by which the two arithmetics' coefficients differ
+TIE = 16 * sys.float_info.epsilon
 
 
 def reference_multipole_order(field, point3, max_order=4, tol=1e-9):

@@ -198,22 +198,31 @@ def test_a_family_is_built_once_and_rebound(fresh_memo):
     ("fourier", "c*cos(pi*x) + k", {"c": 1.0}),
     ("fourier", "c*cos(pi*x) + k", {"c": math.inf}),
     ("polynomial", "1e200^2*x", {}),
+    ("fourier", "cos((c*x)*x) + cos(x*y)", {"c": 0.0}),  # refused product, raised from None
 ])
 def test_a_failed_build_is_tokenized_once(fresh_memo, monkeypatch, family, expr, params):
     periods = (2.0, 2.0) if family == "fourier" else None
     texts = []
     tokenize = generators._tokenize
     monkeypatch.setattr(generators, "_tokenize", lambda src: texts.append(src) or tokenize(src))
-    errors = []
-    for _ in range(3):
-        with pytest.raises(GeneratorError) as err:
-            _compiled(expr, params, periods)
-        errors.append(err.value)
+    errors = [_raised_in_handler(lambda: _compiled(expr, params, periods)) for _ in range(3)]
     assert texts == [expr]
-    # a fresh error at every call, each the one-pass parse's
+    # a fresh error at every call, each the one-pass parse's, down to whether
+    # it hides the exception being handled when it was raised
     assert len({id(error) for error in errors}) == 3
-    want = _outcome(lambda: _one_pass(expr, params, periods))
-    assert [(type(e), str(e), getattr(e, "pos", None)) for e in errors] == [want] * 3
+    want = _raised_in_handler(lambda: _one_pass(expr, params, periods))
+    shown = lambda e: (type(e), str(e), getattr(e, "pos", None), e.__suppress_context__)
+    assert [shown(e) for e in errors] == [shown(want)] * 3
+
+
+def _raised_in_handler(compile_):
+    """The error of ``compile_``, called while a KeyError is being handled."""
+    try:
+        raise KeyError("handled")
+    except KeyError:
+        with pytest.raises(GeneratorError) as err:
+            compile_()
+    return err.value
 
 
 def test_the_memo_keeps_a_build_error_without_frames(fresh_memo):
