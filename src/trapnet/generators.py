@@ -37,6 +37,7 @@ copy of it, so it is tokenized and parsed once too.
 from __future__ import annotations
 
 import cmath
+import copy
 import json
 import math
 import operator
@@ -93,7 +94,11 @@ class ParseError(GeneratorError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
+
+    def __reduce__(self):  # so that copy and pickle build it again from both
+        return type(self), (self.message, self.pos)
 
 
 # ----------------------------------------------------------------------
@@ -658,8 +663,7 @@ class _PointTable:
     ``order[2:]``, and ``columns`` the index of each order's.
     """
 
-    __slots__ = ("rows", "factors", "kx", "ky", "along_x", "along_y", "fr", "fi", "usable",
-                 "kernel_orders", "columns")
+    __slots__ = ("rows", "factors", "kx", "ky", "fr", "fi", "usable", "kernel_orders", "columns")
 
     def __init__(self, wavevectors, orders):
         self.rows, self.factors, dense = [], [], []
@@ -675,9 +679,6 @@ class _PointTable:
         self.usable = bool(np.isfinite(f).all() and not ((self.fr != 0) & (self.fi != 0)).any())
         self.kx = np.array([wavevectors[w][0] for w in self.rows], dtype=float)
         self.ky = np.array([wavevectors[w][1] for w in self.rows], dtype=float)
-        # _phase's axial rule: kx*x where ky == 0, ky*y where only kx == 0
-        self.along_x = self.ky == 0.0
-        self.along_y = (self.kx == 0.0) & ~self.along_x
         first = {}
         for order in orders:
             first.setdefault(order[2:], order)
@@ -711,8 +712,7 @@ def _point_sum(table: _PointTable, waves, x, y, kernel) -> list | None:
             cr, ci = cr * k, ci * k
     if not (np.isfinite(cr).all() and np.isfinite(ci).all()):
         return None
-    px, py = table.kx * x, table.ky * y
-    phase = np.where(table.along_x, px, np.where(table.along_y, py, px + py))
+    phase = table.kx * x + table.ky * y  # _phase's sums: x and y are finite
     terms = cr * np.cos(phase)[:, None] - ci * np.sin(phase)[:, None]
     return (np.add.accumulate(terms)[-1] + 0.0).tolist()
 
@@ -736,8 +736,7 @@ _PARAMS = object()  # the operand a parameter step takes its values from
 def _raise(error: GeneratorError):
     """Raise a fresh copy of a kept build error: its type, message, ``pos`` and
     whether it hides the exception it was raised while handling."""
-    fresh = type(error).__new__(type(error), *error.args)
-    fresh.__dict__.update(vars(error))
+    fresh = copy.copy(error)
     fresh.__suppress_context__ = error.__suppress_context__
     raise fresh
 

@@ -314,6 +314,16 @@ def test_classify_node_crossing_angle():
     assert report.multipole_order == 3
 
 
+def test_round_crossing_angle_is_arccos_4c():
+    # near (1, 0) round's quadratic part is (pi**2/2) * ((1 - 4c)*u**2 - (1 + 4c)*y**2),
+    # whose null lines cross at arccos(4c) for c in (0, 1/4); at most 20 ulp off at
+    # c = 0.249, where the angle is small
+    for k in range(1, 250):
+        c = k / 1000
+        want = math.acos(4 * c)
+        assert abs(classify_node(round_gen(c), (1.0, 0.0)).angle - want) <= 32 * math.ulp(want), c
+
+
 def test_classify_node_isolated():
     assert classify_node(round_gen(0.3), (1.0, 0.0)).kind == "isolated"
 

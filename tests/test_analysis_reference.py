@@ -7,8 +7,6 @@ gradient and Hessian calls that ``trapnet.analysis`` used before it moved the
 mask, edge and chaining work into numpy and integer adjacency lists and
 refined every seed of a grid as one batch.  Polylines are compared by their
 ``repr``, so a vertex must keep the sign of a zero coordinate too.
-``reference_fourier_partials`` is the per-mode loop of the plane generator
-and of its continuation before both moved into ``generators.mode_sum``.
 None of these changes alters the arithmetic, so the results must be equal
 exactly, bit for bit, not within a tolerance.  Newton's batches evaluate
 with a grid's arithmetic, so a seed alone is refined at 1-element arrays
@@ -18,7 +16,8 @@ otherwise; ``EARLIER_CRITICAL_POINTS`` holds what the batches found before.
 
 ``reference_partials`` is the ``algebra.Partials`` loop that differentiated
 every order from the base, where ``Partials`` now takes each order from its
-memoized lower order along the same axis path; the derivatives must be equal.
+memoized lower order along the same axis path; the derivatives, and their
+values from ``eval``, must be equal.
 
 ``reference_multipole_order`` reads the Taylor coefficients of a polynomial
 field by recentering each series layer exactly, where ``multipole_order``
@@ -28,11 +27,6 @@ where a level lies on the threshold to within a few ulps (a point at x = 1e-9
 puts 25*x**3 on 1e-9 * 25*x**2, one ulp wide): there the order must lie
 between the reference's orders at the threshold moved by a relative ``TIE``
 either way.
-
-``reference_poly_eval`` and ``reference_series_eval`` are the term-by-term
-loops of ``Poly2.eval`` and ``ZSeries.eval``, which raised each coordinate to
-each power once per term, layer and order; evaluation now reads the powers
-from one table per call, so every value must be the same bit for bit.
 
 ``threshold_scan`` bisects in its own loop where it called
 ``scipy.optimize.bisect``; it takes the same steps, so the thresholds must
@@ -53,13 +47,11 @@ from conftest import polys
 from test_open_axes import SPEC_SWEEP
 import trapnet
 from trapnet import analysis
-from trapnet import (FourierField, FourierGen, FourierMode, PlanarJet, Poly2, X, Y, ZSeries,
-                     catalog, critical_points, odd_extend, parse_fourier, parse_polynomial,
-                     synthesize, threshold_scan)
+from trapnet import (FourierGen, PlanarJet, Poly2, X, Y, catalog, critical_points, odd_extend,
+                     parse_fourier, parse_polynomial, synthesize, threshold_scan)
 from trapnet.algebra import Partials
 from trapnet.analysis import (_TAYLOR_ORDERS, DEDUP_TOL, THRESHOLD_XTOL, Polyline,
                               _form_determinant, _refine_newton, multipole_order, null_lines)
-from trapnet.extension import _GRADIENT, _HESSIAN, _THIRD, _sinh_kernel
 
 # ----------------------------------------------------------------------
 # reference implementations (the scalar loops)
@@ -196,29 +188,14 @@ def reference_refine_newton(jet, p, span, max_iter=120, arrays=False):
     return None
 
 
-def reference_poly_eval(p, x, y):
-    acc = 0.0
-    for (i, j) in sorted(p.terms):
-        acc = acc + p.terms[(i, j)] * x**i * y**j
-    return acc
-
-
-def reference_series_eval(s, x, y, z):
-    acc = 0.0
-    for n in sorted(s.layers):
-        acc = acc + z**n / math.factorial(n) * reference_poly_eval(s.layers[n], x, y)
-    return acc
-
-
 def reference_partials(base, orders, *coords):
-    evaluate = reference_series_eval if isinstance(base, ZSeries) else reference_poly_eval
     out = []
     for counts in orders:
         d = base
         for axis, count in zip("xyz", counts):
             for _ in range(count):
                 d = d.diff(axis)
-        out.append((d, evaluate(d, *coords)))
+        out.append((d, d.eval(*coords)))
     return out
 
 
@@ -246,50 +223,6 @@ def reference_multipole_order(field, point3, max_order=4, tol=1e-9):
         if level > tol * top:
             return order
     return max_order + 1
-
-
-def reference_fourier_partials(gen, orders, x, y, z=None):
-    """FourierGen.partials for (nx, ny) orders without z, else the partials
-    of its odd continuation for (nx, ny, nz) orders."""
-    accs = [0.0] * len(orders)
-    for mode in gen.modes:
-        if z is not None and (mode.m, mode.n) == (0, 0):
-            continue
-        kx = 2 * math.pi * mode.m / gen.periods[0]
-        ky = 2 * math.pi * mode.n / gen.periods[1]
-        k = math.hypot(kx, ky)
-        wave = np.exp(1j * (kx * x + ky * y))
-        for i, order in enumerate(orders):
-            factor = (1j * kx) ** order[0] * (1j * ky) ** order[1]
-            if factor != 0:
-                coeff = mode.amp * factor
-                if z is None:
-                    accs[i] = accs[i] + coeff * wave
-                else:
-                    accs[i] = accs[i] + coeff * _sinh_kernel(k, z, order[2]) * wave
-    out = []
-    p00 = gen.amplitude(0, 0).real
-    for order, acc in zip(orders, accs):
-        acc = np.real(acc)
-        if z is not None and order[:2] == (0, 0):
-            if order[2] == 0:
-                acc = acc + p00 * np.asarray(z, dtype=float)
-            elif order[2] == 1:
-                acc = acc + p00
-        out.append(float(acc) if np.ndim(acc) == 0 else acc)
-    return out
-
-
-def assert_same_partials(gen, x, y, z):
-    """Plane orders up to 3 and field orders up to 3, compared bit for bit."""
-    plane = [(i, j) for i in range(4) for j in range(4 - i)]
-    space = [(i, j, k) for i in range(4) for j in range(4 - i) for k in range(4 - i - j)]
-    for got, want in ((gen.partials(plane, x, y), reference_fourier_partials(gen, plane, x, y)),
-                      (FourierField(gen).partials(space, x, y, z),
-                       reference_fourier_partials(gen, space, x, y, z))):
-        for g, w in zip(got, want):
-            assert type(g) is type(w)
-            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 def assert_same_lines(generator, window, resolution):
@@ -427,116 +360,9 @@ def test_partials_match_derivatives_from_the_base(p, x, y, z, rng):
             assert value == want_value
 
 
-def assert_same_outcome(got, want):
-    """Same error, or same type, shape and bytes of every value.
-
-    Equal bytes mean equal values, equal signs of zero and inf and nan at
-    the same positions.
-    """
-    if isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want)
-        for g, w in zip(got, want):
-            assert_same_outcome(g, w)
-    elif want is OverflowError:
-        assert got is want
-    else:
-        assert type(got) is type(want)
-        assert np.shape(got) == np.shape(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-def outcome(fn, *args):
-    """The value of a call, or the type of the OverflowError it raised."""
-    try:
-        with np.errstate(all="ignore"):
-            return fn(*args)
-    except OverflowError:  # a Python float power out of range raises
-        return OverflowError
-
-
-def assert_evaluation_matches(p, x, y, z):
-    """eval and partials of P and of its continuation against the loops."""
-    series = odd_extend(p)
-    assert_same_outcome(outcome(p.eval, x, y), outcome(reference_poly_eval, p, x, y))
-    assert_same_outcome(outcome(series.eval, x, y, z),
-                        outcome(reference_series_eval, series, x, y, z))
-    plane = [(i, j) for i in range(4) for j in range(4 - i)]
-    for engine, base, orders, coords in (
-            (Partials(p), p, plane, (x, y)),
-            (Partials(series), series, _GRADIENT + _HESSIAN + _THIRD, (x, y, z))):
-        want = outcome(lambda: [v for _, v in reference_partials(base, orders, *coords)])
-        assert_same_outcome(outcome(engine.partials, orders, *coords), want)
-
-
-# each kind of point the evaluation accepts, with negative bases and signed zeros
-EVAL_POINTS = {
-    "1-D arrays": (np.array([-1.5, -1.0, -0.0, 0.0, 0.3, 1.25]),
-                   np.array([0.7, -0.0, -1.1, 2.0, 0.0, -0.4]),
-                   np.array([-0.5, 0.0, -0.0, 0.25, 0.5, -0.3])),
-    "0-d arrays": (np.array(-0.7), np.array(1.3), np.array(-0.2)),
-    "floats": (-0.8, 1.1, 0.3),
-    "signed zeros": (-0.0, 0.0, -0.0),
-    "np.float64": (np.float64(-1.3), np.float64(0.6), np.float64(-0.45)),
-    "ints": (-2, 3, -1),
-    # powers overflow to inf, and inf - inf or 0 * inf give nan
-    "overflowing arrays": (np.array([-1e30, -1e13, 0.0, 1e13, 1e30, 1e200]),
-                           np.array([1e30, -1e20, 1e200, 0.0, -1e200, 1.0]),
-                           np.array([0.0, 1e100, -1e30, 1e200, 2.0, -1e13])),
-    "overflowing floats": (1e200, -1e160, 1e100),
-}
-float_coeffs = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys(max_degree=24, max_terms=8, coeffs=float_coeffs), st.sampled_from(list(EVAL_POINTS)))
-def test_evaluation_matches_term_by_term_loops(p, kind):
-    assert_evaluation_matches(p, *EVAL_POINTS[kind])
-
-
-# the reference loops take about a second per polynomial on this grid
-@settings(max_examples=4, deadline=None)
-@given(polys(max_degree=24, max_terms=8, coeffs=float_coeffs))
-def test_grid_evaluation_matches_term_by_term_loops(p):
-    axes = np.linspace(-1.0, 1.0, 16), np.linspace(-1.0, 1.0, 16), np.linspace(-0.5, 0.5, 16)
-    assert_evaluation_matches(p, *np.meshgrid(*axes, indexing="ij"))
-
-
-@st.composite
-def hermitian_modes(draw):
-    """A random Hermitian mode set: each drawn mode with its conjugate partner."""
-    periods = (draw(widths), draw(widths))
-    modes = [FourierMode(0, 0, complex(draw(coeffs)))]
-    for _ in range(draw(st.integers(1, 4))):
-        m, n = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-        amp = complex(draw(coeffs), draw(coeffs))
-        if (m, n) == (0, 0):
-            continue
-        modes += [FourierMode(m, n, amp), FourierMode(-m, -n, amp.conjugate())]
-    return FourierGen(periods, modes)
-
-
-@settings(max_examples=60, deadline=None)
-@given(hermitian_modes(), points, points,
-       st.one_of(st.just(0.0), st.floats(-1e-5, 1e-5), points))
-def test_fourier_partials_match_mode_loop(gen, x, y, z):
-    assert_same_partials(gen, x, y, z)
-    grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-    assert_same_partials(gen, grid + x, grid[::-1] - y, grid * z)
-
-
 # ----------------------------------------------------------------------
 # pinned cases
 # ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("c", [0.0, 0.2, 0.25])
-def test_round_partials_match_mode_loop(c):
-    gen = catalog("round", {"c": c}).compile()
-    assert_same_partials(gen, 0.3, -0.7, 0.2)
-    assert_same_partials(gen, 1.0, 0.0, 0.0)
-    ax = np.linspace(-1.3, 1.3, 9)
-    gx, gy, gz = np.meshgrid(ax, ax, 0.5 * ax, indexing="ij")
-    assert_same_partials(gen, gx, gy, gz)
-
 
 def test_zeros_on_grid_nodes_clamp_and_merge():
     # x + y vanishes on grid nodes of the diagonal: every crossing has t

@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import time
 
 import numpy as np
@@ -238,6 +240,16 @@ def test_the_memo_keeps_a_build_error_without_frames(fresh_memo):
     assert fn is generators._raise and kept is not err.value
     assert (type(kept), str(kept), kept.pos) == (ParseError, str(built.value), 20)
     assert kept.__traceback__ is None and kept.__context__ is None and kept.__cause__ is None
+
+
+def test_a_parse_error_survives_copy_and_pickle():
+    # a typed error keeps its type, text and position across a process boundary
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("y + k*x")
+    for error in (err.value, ParseError("x", 3)):
+        for clone in (copy.copy(error), copy.deepcopy(error), pickle.loads(pickle.dumps(error))):
+            assert clone is not error
+            assert (type(clone), str(clone), clone.pos) == (ParseError, str(error), error.pos)
 
 
 def test_the_memo_keeps_to_its_weight_budget(fresh_memo):
