@@ -28,6 +28,9 @@ tests take K = 8.  Without the partial sums the bound does not hold: spec-sweep'
 polynomials of degree 18 and 24, sums of 190 and 169 terms, are off by up to
 7.2 times eps times the sum of |terms| at 600 seeded points.
 
+``sinh_kernel`` and ``gradient_norm`` give the sinh kernel of the
+continuation alone and ``|grad phi|``, with scales of the same kind.
+
 Only the standard library is imported: the oracle shares no code with trapnet
 and reads only a generator's ``terms`` (a Poly2) or ``waves`` (a FourierGen).
 """
@@ -76,6 +79,31 @@ def pseudopotential(gradient, kappa=1.0) -> tuple:
     grad = [tuple(map(Fraction, pair)) for pair in gradient]
     return (kappa * sum(g * g for g, _ in grad),
             kappa * sum(s * (2 * abs(g) + s) for g, s in grad))
+
+
+def gradient_norm(gradient) -> tuple:
+    """(value, scale) of ``|grad phi|`` from the (value, scale) pairs of the three
+    gradient components, the value to 50 digits.
+
+    Components within ``K * eps * S`` of their exact values have a norm within
+    ``K * eps * sum S`` of the exact norm, by the triangle inequality, and the
+    squares, their sum and the square root round it by a few eps relative, so
+    the scale is ``sum S`` plus the norm.
+    """
+    square, _ = pseudopotential(gradient)
+    with decimal.localcontext(_CONTEXT):
+        norm = (Decimal(square.numerator) / square.denominator).sqrt()
+    return norm, sum(Fraction(s) for _, s in gradient) + Fraction(norm)
+
+
+def sinh_kernel(k: float, z: float, order: int) -> tuple:
+    """(value, scale) of the order-th z-derivative of ``sinh(k*z) / k`` at a float
+    k > 0 and a finite float z, with a Fourier term's scale: the value's magnitude
+    weighted by ``1 + |k*z|``, as ``k*z`` is rounded before sinh or cosh."""
+    with decimal.localcontext(_CONTEXT):
+        k, z = Decimal(k), Decimal(z)
+        value = _kernel(k, z, order)
+        return value, abs(value) * (1 + abs(k * z))
 
 
 def error(got: float, exact: tuple) -> float:
@@ -221,6 +249,12 @@ def _cosh_sinh(t: Decimal) -> tuple:
     return (e + 1 / e) / 2, (e - 1 / e) / 2
 
 
+def _kernel(k: Decimal, z: Decimal, nz: int) -> Decimal:
+    """The nz-th z-derivative of sinh(k*z) / k."""
+    cosh, sinh = _cosh_sinh(k * z)
+    return sinh / k if nz == 0 else k ** (nz - 1) * (cosh if nz % 2 else sinh)
+
+
 @functools.lru_cache(maxsize=1 << 10)
 def _hypot(kx: Decimal, ky: Decimal) -> Decimal:
     return (kx * kx + ky * ky).sqrt()
@@ -246,7 +280,6 @@ def _fourier(waves, orders, x, y, z) -> tuple:
         weight = 1 + abs(px) + abs(py)
         if not planar:
             k = _hypot(kx, ky)
-            cosh, sinh = _cosh_sinh(k * z)
             weight += abs(k * z)
         for o, order in enumerate(orders):
             nx, ny = order[0], order[1]
@@ -254,9 +287,7 @@ def _fourier(waves, orders, x, y, z) -> tuple:
             if not factor:
                 continue
             if not planar:
-                nz = order[2]
-                factor *= (sinh / k if nz == 0
-                           else k ** (nz - 1) * (cosh if nz % 2 else sinh))
+                factor *= _kernel(k, z, order[2])
             # the real part of i**(nx + ny) * amp * exp(i*phase)
             value[o] += factor * (turn[0], -turn[1], -turn[0], turn[1])[(nx + ny) % 4]
             scale[o] += (abs(ar) + abs(ai)) * abs(factor) * weight + abs(value[o])

@@ -17,13 +17,26 @@ whose waves run along one axis.  Hypothesis adds random polynomials and
 random Hermitian mode sets, checked at a point and as 1-element arrays, with
 subnormal coefficients and coordinates among them.
 
-A value may be inf or nan only where its scale overflows the float range.
+Each generator is also checked on every kind of point the front ends take:
+Python floats, ints, numpy scalars and 0-d arrays, which must give Python
+floats; 1-D, dense, open, transposed, strided and broadcast arrays, scalars
+beside arrays, stars and Newton's seeds, which must give float arrays in the
+points' broadcast shape; and signed zeros, subnormals, large phases, far z
+and, for polynomials, coordinates up to 1e200.  ``extension._sinh_kernel`` is
+checked on its own, inside and outside its series, and a generator whose
+waves run along one axis through ``null_lines`` and ``trapnet sample``.
+
+A value may be inf or nan only where its scale overflows the float range, or
+where a polynomial forms a power of a coordinate beyond it.
 """
 
 import importlib
 import itertools
+import json
+import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +47,10 @@ from hypothesis import strategies as st
 import exact
 from conftest import polys
 from trapnet import (FourierGen, FourierMode, PlanarJet, Poly2, TrapParams, catalog,
-                     catalog_names, parse_fourier, parse_polynomial, synthesize)
+                     catalog_names, null_lines, parse_fourier, parse_polynomial, synthesize)
+from trapnet import extension
 from trapnet.analysis import grid_axes
+from trapnet.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 PERIODS = (2.0, 2.0)
@@ -66,6 +81,8 @@ GENERATORS["phase-shifted"] = parse_fourier("cos(pi*x + 0.3) - 0.4*sin(pi*(x + y
                                             PERIODS)
 GENERATORS["axial x"] = parse_fourier("cos(pi*x) - 0.3*sin(2*pi*x)", PERIODS)
 GENERATORS["axial y"] = parse_fourier("sin(pi*y)", PERIODS)
+GENERATORS["axial x and y"] = parse_fourier(
+    "cos(pi*x) + 0.7*sin(pi*x) + 0.3*cos(pi*y) - 1.3*sin(pi*y)", PERIODS)
 
 ORDERS_2D = [o for o in itertools.product(range(4), repeat=2) if sum(o) <= 3]
 ORDERS_3D = [o for o in itertools.product(range(4), repeat=3) if sum(o) <= 3]
@@ -80,13 +97,13 @@ POINTS += [(-0.0, 0.0, -0.0), (1.0, -0.0, 0.0), (0.0, 1.0, 1e-7), (-0.5, 0.5, -3
            (0.3, -0.7, 5e-6)]
 
 
-def assert_within(got, want, where):
+def assert_within(got, want, where, overflow=False):
     """Each float of ``got`` within ``exact.K * (eps * scale + exact.TINY)`` of its
-    (value, scale)."""
+    (value, scale); with ``overflow``, each finite float."""
     got = [np.asarray(g).item() for g in got]
     assert len(got) == len(want)
     for i, (g, (value, scale)) in enumerate(zip(got, want)):
-        if not np.isfinite(g) and scale > FLOAT_MAX:  # the float sum overflows too
+        if not np.isfinite(g) and (overflow or scale > FLOAT_MAX):  # the float sum overflows too
             continue
         err = exact.error(g, (value, scale))
         assert err <= exact.K, (where, i, g, float(value), err)
@@ -180,6 +197,231 @@ def test_far_window_holds_finite_and_overflowing_values():
     with np.errstate(all="ignore"):
         values = synthesize(GENERATORS["round"]).partials(GRID_ORDERS, *grid)
     assert np.isfinite(values).any() and not np.isfinite(values).all()
+
+
+# ----------------------------------------------------------------------
+# every kind of point the front ends take
+# ----------------------------------------------------------------------
+
+def _point_sets() -> dict:
+    """label -> (x, y, z): scalars of each type, arrays of each layout, and mixes.
+
+    Most coordinates come from the three axes below, so that the exact values
+    of one point serve many sets.
+    """
+    xs, ys, zs = AXES = (np.array([-1.5, -0.0, 0.3, 1.0]), np.array([-0.7, 0.0, 1.1]),
+                         np.array([-0.0, 1e-7, 0.25]))
+    dense, open_ = (np.meshgrid(*AXES, indexing="ij", sparse=s) for s in (False, True))
+    seeds = np.meshgrid(xs[:2], ys, indexing="ij")
+    star = (np.array([[0.3, -0.7, 0.25], [1.0, 1.1, 1e-7]])[:, None]
+            + np.concatenate([np.zeros((1, 3)), 1e-4 * np.eye(3), -1e-4 * np.eye(3)]))
+    return {
+        "float": (0.3, -0.7, 0.25),
+        "signed zeros": (-0.0, 0.0, -0.0),
+        "signed zeros in arrays": (np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, -0.0]),
+                                   np.array([-0.0, -0.0, 0.0])),
+        "on the x axis": (1.0, -0.0, 0.0),
+        "ints": (1, 0, 0),
+        "numpy scalars": (np.float64(0.3), np.float64(1.1), np.float64(1e-7)),
+        "0-d arrays": (np.asarray(-1.5), np.asarray(-0.7), np.asarray(0.25)),
+        "1-element arrays": tuple(np.array([c]) for c in (1.0, 1.1, 0.25)),
+        "1-D arrays": (xs, np.array([-0.7, 0.0, 1.1, -0.7]), np.array([-0.0, 1e-7, 0.25, 0.25])),
+        "array and scalars": (xs, -0.7, 0.25),
+        "scalar and arrays": (0.3, ys, zs),
+        "0-d array and arrays": (np.asarray(1.0), ys, zs[::-1]),
+        "column and row": (xs[:, None], ys, 0.0),
+        "dense grid": tuple(dense),
+        "open axes": tuple(open_),
+        # as ``trapnet sample`` takes a 4-value window
+        "open axes in the plane": (*open_[:2], np.zeros_like(open_[0])),
+        "broadcast views": (np.broadcast_to(xs, (3, 4)), np.broadcast_to(ys[:, None], (3, 4)),
+                            np.broadcast_to(zs[:, None], (3, 4))),
+        "transposed grid": tuple(c.T for c in dense),
+        "strided grid": tuple(c[::2, :, ::2] for c in dense),
+        "Newton's seeds": (*seeds, 0.0),
+        "stars": tuple(np.moveaxis(star, -1, 0)),
+        # |k*z| < 1e-4, where the sinh kernel takes its series
+        "near the plane": (xs, np.array([0.0, 1.1, -0.7, 1.1]),
+                           np.array([3e-6, -1e-5, 5e-6, -0.0])),
+        "subnormal": (np.array([5e-324, -0.0]), np.array([-5e-324, 1e-310]), 1e-310),
+        "large phase": (np.array([1e5 + 0.3, -1e4]), 12345.6789, 0.25),
+        "far z": (0.5, 1.0, 150.0),
+        # round's kernel overflows beyond z of about 113, sinh(2*pi*z) beyond the float range
+        "far z on open axes": tuple(np.meshgrid([-1.0, 0.3], [0.5], [100.0, 260.0],
+                                                indexing="ij", sparse=True)),
+    }
+
+
+POINT_SETS = _point_sets()
+# polynomials overflow to inf and nan, where a Fourier phase would need pi to
+# more than 160 digits
+OVERFLOWING = (np.array([1e120, -1e30, 0.0]), np.array([-1e160, 1e20, 1e200]), 1e100)
+POINT_CASES = [(name, label) for name in GENERATORS for label in POINT_SETS]
+POINT_CASES += [(name, "overflowing") for name, gen in GENERATORS.items()
+                if not hasattr(gen, "waves")]
+
+
+def _powers_overflow(gen, *coords) -> bool:
+    """Whether a polynomial's evaluation forms a power of a coordinate beyond the
+    float range: an inf power times a 0.0 one gives nan where the exact term is 0,
+    and its value may then be inf or nan though its scale is finite."""
+    if hasattr(gen, "waves"):
+        return False
+    degree = max((i + j for i, j in gen.terms), default=0)
+    return Fraction(max(map(abs, coords))) ** degree > FLOAT_MAX
+
+
+@pytest.mark.parametrize("name, label", POINT_CASES, ids=[" - ".join(c) for c in POINT_CASES])
+def test_front_ends_on_point_sets(name, label):
+    """Python floats at scalar points, float arrays in the points' broadcast shape
+    otherwise, and each value within the bound (:func:`_powers_overflow`)."""
+    gen = GENERATORS[name]
+    x, y, z = OVERFLOWING if label == "overflowing" else POINT_SETS[label]
+    jet, fld = PlanarJet(gen), synthesize(gen)
+    with np.errstate(all="ignore"):
+        got = [*jet.partials(ORDERS_2D, x, y), *fld.partials(ORDERS_3D, x, y, z),
+               fld.pseudopotential(x, y, z)]
+    shape = np.broadcast_shapes(*map(np.shape, (x, y, z)))
+    for value in got:
+        if shape:
+            assert isinstance(value, np.ndarray) and value.dtype == np.float64
+            assert np.broadcast_shapes(value.shape, shape) == shape
+        else:
+            assert type(value) is float
+    got = [np.broadcast_to(v, shape) for v in got]
+    coords = [c.tolist() for c in np.broadcast_arrays(*map(np.asarray, (x, y, z)), subok=False)]
+    for index in np.ndindex(shape):
+        px, py, pz = (float(np.asarray(c)[index]) for c in coords)
+        plane, space = exact.partials(gen, ORDERS_2D, px, py), exact.partials(gen, ORDERS_3D, px, py, pz)
+        values = [v[index] for v in got]
+        assert_within(values[:len(plane)], plane, (px, py), _powers_overflow(gen, px, py))
+        assert_within(values[len(plane):], [*space, exact.pseudopotential(_gradient(space))],
+                      (px, py, pz), _powers_overflow(gen, px, py, pz))
+
+
+def test_point_sets_reach_the_far_field_and_the_sinh_series():
+    """So the sets above check overflow against the scale, and the kernel's series."""
+    with np.errstate(all="ignore"):
+        phi = synthesize(GENERATORS["round"]).value(*POINT_SETS["far z on open axes"])
+    assert np.isfinite(phi).any() and not np.isfinite(phi).all()
+    k = max(math.hypot(kx, ky) for kx, ky, _ in GENERATORS["round"].waves)
+    assert np.all(np.abs(k * POINT_SETS["near the plane"][2]) < extension._SMALL_KZ)
+
+
+# ----------------------------------------------------------------------
+# the sinh kernel
+# ----------------------------------------------------------------------
+
+# |k*z| < 1e-4 at 1e-7, 3e-6 and 1e-5 for every k below, at 3e-5 for k = pi only
+EDGE_ZS = np.array([-0.0, 0.0, 1e-7, -3e-6, 1e-5, 3e-5, 0.3, -0.7,
+                    np.nan, np.inf, -np.inf, 300.0, -299.5])
+WIDE_ZS = np.linspace(0.1, 1.5, 6)  # no |k*z| below 1e-4
+KERNEL_INPUTS = [
+    ("1-D with small", EDGE_ZS),
+    ("1-D without small", WIDE_ZS),
+    ("dense with small", np.meshgrid(WIDE_ZS[:3], WIDE_ZS[:2], EDGE_ZS, indexing="ij")[2]),
+    ("dense without small", np.meshgrid(WIDE_ZS[:3], WIDE_ZS[:2], WIDE_ZS, indexing="ij")[2]),
+    ("open with small", EDGE_ZS[None, None, :]),
+    ("open without small", WIDE_ZS[None, None, :]),
+    *((f"float {z!r}", float(z)) for z in EDGE_ZS),
+    ("numpy scalar small", np.float64(2e-5)),
+    ("numpy scalar", np.float64(0.4)),
+    ("0-d small", np.asarray(-2e-5)),
+    ("0-d", np.asarray(0.4)),
+    ("0-d nan", np.asarray(np.nan)),
+]
+KS = [math.pi, math.pi * math.sqrt(2.0), 2.0 * math.pi, 3.0 * math.pi]
+
+
+def _assert_kernel_within(got, k, z, order):
+    """One kernel value: nan at nan, the sign of sinh or cosh at inf, else in the bound."""
+    if math.isnan(z):
+        assert math.isnan(got)
+    elif math.isinf(z):
+        assert got == (math.inf if order % 2 else math.copysign(math.inf, z))
+    else:
+        assert_within([got], [exact.sinh_kernel(k, z, order)], (k, z, order))
+
+
+@pytest.mark.parametrize("label, z", KERNEL_INPUTS, ids=[s[0] for s in KERNEL_INPUTS])
+@pytest.mark.parametrize("k", KS)
+def test_sinh_kernel_within_the_bound(k, label, z):
+    """The kernel of every order, in z's shape, at each z, and with the
+    wavevectors in an array beside a scalar z, as the point pass takes them."""
+    zs = np.asarray(z, dtype=float)
+    for order in range(4):
+        with np.errstate(all="ignore"):
+            got = extension._sinh_kernel(k, z, order)
+            many = extension._sinh_kernel(np.array(KS), z, order) if not zs.ndim else None
+        assert np.shape(got) == zs.shape and np.asarray(got).dtype == np.float64, order
+        for index in np.ndindex(zs.shape):
+            _assert_kernel_within(float(np.asarray(got)[index]), k, float(zs[index]), order)
+        if many is not None:
+            assert many.shape == (len(KS),)
+            for kk, value in zip(KS, many.tolist()):
+                _assert_kernel_within(value, kk, float(zs), order)
+
+
+# ----------------------------------------------------------------------
+# a generator whose waves all run along one axis, through analysis and the CLI
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("window, res", [((-1.5, 1.5, -1.5, 1.5), 40),
+                                         ((-0.0, 1.3, -1.1, -0.0), 33)])
+@pytest.mark.parametrize("expr", ["cos(pi*x)", "sin(pi*y)"])
+def test_axial_null_lines_lie_on_the_exact_null_set(expr, window, res):
+    """cos(pi*x) vanishes at x = 1/2 + j and sin(pi*y) at y = j: one straight
+    polyline across the window at each such line inside it, and at an edge where
+    the float value is 0.0.  Linear interpolation puts a crossing within h**3 of
+    the zero, as the second derivative vanishes there."""
+    gen = parse_fourier(expr, PERIODS)
+    axis = 0 if "x" in expr else 1
+    lo, hi = window[2 * axis], window[2 * axis + 1]
+    offset = 0.5 if axis == 0 else 0.0
+    def vanishes_on_edge(v):
+        return v in (lo, hi) and gen.eval(*(v if a == axis else 0.0 for a in range(2))) == 0.0
+
+    zeros = [j + offset for j in range(math.floor(lo - offset), math.ceil(hi - offset) + 1)]
+    zeros = [v for v in zeros if lo < v < hi or vanishes_on_edge(v)]
+    h = (hi - lo) / (res - 1)
+    lines = null_lines(gen, window, res)
+    assert len(lines) == len(zeros)
+    across = sorted(window[2 - 2 * axis: 4 - 2 * axis])
+    for line, zero in zip(sorted(lines, key=lambda pl: pl.points[0][axis]), zeros):
+        assert not line.closed
+        assert all(abs(p[axis] - zero) <= h ** 3 for p in line.points), (zero, line.points[:3])
+        assert sorted((line.points[0][1 - axis], line.points[-1][1 - axis])) == across
+
+
+@pytest.mark.parametrize("quantity, window", [
+    ("p", "-1,1,-1.5,0.5"),
+    ("phi", "-1,1,-1.5,0.5,-0.5,0.5"),
+    ("upp", "-1,1,-1.5,0.5,-0.5,0.5"),
+    ("grad_norm", "-1,1,-1.5,0.5,-0.5,0.5"),
+])
+def test_axial_sample_output_within_the_bound(tmp_path, quantity, window):
+    """``trapnet sample`` writes each grid point and its value, within the bound."""
+    spec = tmp_path / "axial.json"
+    spec.write_text(json.dumps({"kind": "fourier", "expr": "cos(pi*x)", "periods": list(PERIODS)}))
+    res = "9,7" if quantity == "p" else "9,7,5"
+    out = tmp_path / "out.csv"
+    assert main(["sample", str(spec), "--quantity", quantity, f"--window={window}",
+                 f"--res={res}", "--out", str(out)]) == 0
+    head, *rows = out.read_text().splitlines()
+    bounds = [float(v) for v in window.split(",")]
+    counts = [int(n) for n in res.split(",")]
+    points = list(itertools.product(*(a.tolist() for a in grid_axes(bounds, counts))))
+    assert head.split(",")[-1] == "value" and len(rows) == len(points)
+    gen = parse_fourier("cos(pi*x)", PERIODS)
+    for row, point in zip(rows, points):
+        *coords, value = map(float, row.split(","))
+        assert coords == list(point)
+        if quantity in ("p", "phi"):
+            want = exact.partials(gen, [(0,) * len(point)], *point)[0]
+        else:
+            space = exact.partials(gen, GRADIENT, *point)
+            want = (exact.pseudopotential if quantity == "upp" else exact.gradient_norm)(space)
+        assert_within([value], [want], point)
 
 
 # ----------------------------------------------------------------------
