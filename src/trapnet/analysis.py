@@ -356,8 +356,8 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
     """Find zeros of grad P inside a window by grid-seeded Newton refinement.
 
     The seeds are refined as one batch of arrays, each taking the same steps
-    as it would alone as a 1-element array, and at a scalar point unless a
-    Fourier amplitude has two nonzero parts.  Seeds that do not converge are
+    as it would alone at a scalar point, which has a 1-element array's bits
+    for every Fourier amplitude.  Seeds that do not converge are
     dropped (logged at debug level).  Refined points are deduplicated within
     1e-6 and flagged as network nodes when |P| < 1e-8 there.  Near-singular Hessians
     (cusp-type nodes) fall back to a Tikhonov-damped least-squares step.
@@ -543,17 +543,21 @@ def multipole_order(field: Field, point3) -> int:
     Degree 2 is a quadrupole, 3 a hexapole.  Coefficients are normalized by
     the largest one up to ``MULTIPOLE_MAX_ORDER``; higher orders are not
     computed and the function returns ``MULTIPOLE_MAX_ORDER + 1`` (meaning
-    "or more").
+    "or more").  They are the Taylor coefficients of the potential times the
+    power of two that puts its largest coefficient in [0.5, 1), an exact
+    scaling: the order does not depend on the potential's scale, and a
+    potential with subnormal coefficients does not lose its levels to
+    underflow.
     """
+    if field.potential.is_zero():
+        raise ValueError("potential is identically zero")
     x0, y0, z0 = (float(v) for v in point3)
     # (degree, |Taylor coefficient|) of each order: the derivative over i! j! k!
-    derivs = field.partials(_TAYLOR_ORDERS, x0, y0, z0)
+    derivs = field._unit_scaled.partials(_TAYLOR_ORDERS, x0, y0, z0)
     coeffs = [(i + j + k, abs(d) / (math.factorial(i) * math.factorial(j) * math.factorial(k)))
               for (i, j, k), d in zip(_TAYLOR_ORDERS, derivs)]
     top = max(c for _, c in coeffs)
     if top == 0.0:
-        if field.potential.is_zero():
-            raise ValueError("potential is identically zero")
         return MULTIPOLE_MAX_ORDER + 1  # nonzero field with no terms up to the cap
     for order in range(MULTIPOLE_MAX_ORDER + 1):
         if max(c for n, c in coeffs if n == order) > MULTIPOLE_TOL * top:

@@ -20,6 +20,7 @@ for periodic data one plane wave per mode shared by all orders.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Partials, Poly2, ZSeries, _float64
-from .generators import FourierGen, mode_sum
+from .generators import FourierGen, FourierMode, mode_sum
 
 __all__ = [
     "TrapParams",
@@ -301,6 +302,20 @@ class Field:
     @property
     def kappa(self) -> float:
         return self.params.kappa
+
+    @functools.cached_property
+    def _unit_scaled(self) -> "Field":
+        """The field of a nonzero potential times the power of two that puts its
+        largest coefficient, or part of a Fourier amplitude, in [0.5, 1), exactly."""
+        p = self.potential
+        if isinstance(p, ZSeries):
+            e = math.frexp(max(abs(c) for q in p.layers.values() for c in q.terms.values()))[1]
+            return Field(ZSeries({n: Poly2({ij: math.ldexp(c, -e) for ij, c in q.terms.items()})
+                                  for n, q in p.layers.items()}))
+        e = math.frexp(max(max(abs(m.amp.real), abs(m.amp.imag)) for m in p.gen.modes))[1]
+        return synthesize(FourierGen(p.gen.periods, [FourierMode(
+            m.m, m.n, complex(math.ldexp(m.amp.real, -e), math.ldexp(m.amp.imag, -e)))
+            for m in p.gen.modes]))
 
     def partials(self, orders, x, y, z) -> list:
         """Analytic partial derivatives, one per (nx, ny, nz) order (:func:`_on_open_axes`)."""

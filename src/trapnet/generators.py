@@ -571,34 +571,19 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     :func:`~trapnet.algebra.check_order` first, and its counts are taken as
     Python ints: a numpy integer count gives the bits of the equal int.
 
-    A term is formed in real arithmetic where that gives the same bits, and
-    each of ``cos(phase)``, ``sin(phase)`` and ``exp(1j*phase)`` is computed at
-    most once per wave, only if a term needs it.  For a real c the term is
-    ``(c.real * K) * cos(phase)``, for an imaginary c ``(-c.imag * K) *
-    sin(phase)``.  At a finite phase ``np.exp(1j*phase)`` has ``np.cos`` and
-    ``np.sin`` of it as its parts, and with one part of c zero numpy's complex
-    product rounds its real part once, as the real form does; a zero term may
-    differ in its sign only, which a sum from +0.0 drops.  Two cases keep
-    ``(c * K * exp(1j*phase)).real``: a general c, where numpy's array product
-    may fuse its multiply and subtraction, and a c or kernel that is not
-    finite everywhere, where ``0 * inf`` makes the complex product nan.
-
-    Each wave's nonzero factors ``(1j*kx)**nx * (1j*ky)**ny`` come from one
-    table per wavevectors and orders (:class:`_PointTable`), kept in the memo
-    and read by the loop and by the point pass alike.
-
-    At a point, finite scalar or 0-d coordinates x and y, the sums are formed
-    in one array pass over the waves instead (:func:`_point_sum`), with the same
-    bits: every term is ``(c.real*K)*cos(phase) - (c.imag*K)*sin(phase)``,
-    which is the real or imaginary form above when one part of c is zero, and
-    numpy's scalar complex product, which does not fuse, when neither is.
-    The kernel is then called once per distinct ``order[2:]``, with arrays of
-    the waves' kx and ky, and gives an array of one value per wave; anything
-    else, such as None, leaves the sums to the loop.  The terms of a wave
-    whose coefficient is zero at an order are +-0.0, and ``np.add.accumulate``
-    adds each order's terms in wave order; plus 0.0, the sum is the loop's
-    sum from +0.0.  Where a coefficient or kernel value is not finite, the
-    sums are formed by the loop too.
+    Each wave's factors ``(1j*kx)**nx * (1j*ky)**ny`` come from one table per
+    wavevectors and orders (:class:`_PointTable`), kept in the memo, and the
+    coefficients ``c = amp * factor`` from one complex array, which the loop
+    over waves and the point pass both read; a zero factor's term is left out
+    (``0 * inf`` is nan).  Every term is the real part of numpy's array complex
+    product ``c * K * exp(1j*phase)``, which the loop forms as ``(c.real * K) *
+    cos(phase)`` or ``(-c.imag * K) * sin(phase)`` for a real or imaginary c
+    where c and K are finite: those round as it does, but for the sign of a
+    zero term, which a sum from +0.0 drops.  At a point, scalar or 0-d x and y,
+    the sums are formed in one array pass over the waves (:func:`_point_sum`),
+    so a point has the bits of the same point as 1-element arrays.  The kernel
+    is then called with arrays of the waves' kx and ky, and anything but one
+    value per wave, such as None for an array of z, leaves the sums to the loop.
     """
     # each tuple is built from a list: the interpreter sizes it once, where
     # tuple(map(...)) resizes it, and a resized tuple, once freed, stays on a
@@ -612,18 +597,19 @@ def mode_sum(waves, orders, x, y, kernel=None) -> list:
     table = _MEMO.get(key)
     if table is None:
         table = _PointTable(key[1], orders)
-        _MEMO.put(key, table, len(waves) + len(orders) + table.fr.size)
-    if np.ndim(x) == np.ndim(y) == 0 and math.isfinite(x) and math.isfinite(y):
-        sums = _point_sum(table, waves, x, y, kernel)
+        _MEMO.put(key, table, len(waves) + len(orders) + table.f.size)
+    coefs = np.array([waves[w][2] for w in table.rows], dtype=complex)[:, None] * table.f
+    if np.ndim(x) == np.ndim(y) == 0:
+        sums = _point_sum(table, coefs, x, y, kernel)
         if sums is not None:
             return sums
     accs = [0.0] * len(orders)
-    for w, factors in zip(table.rows, table.factors):
-        kx, ky, amp = waves[w]
+    for w, terms, row in zip(table.rows, table.terms, coefs.tolist()):
+        kx, ky, _ = waves[w]
         phase = _phase(kx, ky, x, y)
         parts, kernels = {}, {}  # cos, sin or exp of the phase; kernel by order[2:]
-        for i, factor, order in factors:
-            c = amp * factor
+        for i, order in terms:
+            c = row[i]
             if kernel is not None and order[2:] not in kernels:
                 k = kernel(kx, ky, order)
                 kernels[order[2:]] = k, bool(np.isfinite(k).all())
@@ -653,30 +639,27 @@ class _PointTable:
     kept in the memo by :func:`mode_sum`.
 
     ``rows`` are the waves with a nonzero factor ``(1j*kx)**nx * (1j*ky)**ny``
-    at some order, and ``factors`` holds each row's nonzero ones as (index,
-    factor, order), the loop's coefficients before their amplitude.  ``fr``
-    and ``fi`` are the real and imaginary parts of every factor, for the point
-    pass.  A factor has a zero part wherever it is finite, so ``amp * factor``
-    has the bits of ``(ar*fr - ai*fi) + (ar*fi + ai*fr)j`` in real
-    arithmetic; a table where that does not hold is not ``usable`` by the
-    point pass.  ``kernel_orders`` holds the first order of each distinct
-    ``order[2:]``, and ``columns`` the index of each order's.
+    at some order, ``f`` holds each row's factor at every order, and
+    ``terms`` the (index, order) of each row's nonzero ones.  ``kx`` and
+    ``ky`` are the rows' wavevectors, ``kernel_orders`` the first order of
+    each distinct ``order[2:]``, and ``columns`` the index of each order's.
     """
 
-    __slots__ = ("rows", "factors", "kx", "ky", "fr", "fi", "usable", "kernel_orders", "columns")
+    __slots__ = ("rows", "terms", "f", "kx", "ky", "kernel_orders", "columns")
 
     def __init__(self, wavevectors, orders):
-        self.rows, self.factors, dense = [], [], []
+        self.rows, self.terms, dense = [], [], []
         for w, (kx, ky) in enumerate(wavevectors):
-            row = [(1j * kx) ** order[0] * (1j * ky) ** order[1] for order in orders]
+            try:
+                row = [(1j * kx) ** order[0] * (1j * ky) ** order[1] for order in orders]
+            except OverflowError:  # Python's power raises where a product gives inf or nan
+                row = [math.prod([1j * kx] * order[0] + [1j * ky] * order[1]) for order in orders]
             if any(row):
                 self.rows.append(w)
-                self.factors.append([(i, f, order) for i, (f, order) in enumerate(zip(row, orders))
-                                     if f != 0])
+                self.terms.append([(i, order) for i, (f, order) in enumerate(zip(row, orders))
+                                   if f != 0])
                 dense.append(row)
-        f = np.array(dense, dtype=complex).reshape(len(self.rows), len(orders))
-        self.fr, self.fi = f.real.copy(), f.imag.copy()
-        self.usable = bool(np.isfinite(f).all() and not ((self.fr != 0) & (self.fi != 0)).any())
+        self.f = np.array(dense, dtype=complex).reshape(len(self.rows), len(orders))
         self.kx = np.array([wavevectors[w][0] for w in self.rows], dtype=float)
         self.ky = np.array([wavevectors[w][1] for w in self.rows], dtype=float)
         first = {}
@@ -690,30 +673,21 @@ class _PointTable:
 _WAVEVECTOR = operator.itemgetter(0, 1)
 
 
-def _point_sum(table: _PointTable, waves, x, y, kernel) -> list | None:
-    """``mode_sum`` at one finite point in one array pass, or None where the
-    loop must form the sums."""
-    if not table.usable:
-        return None
+def _point_sum(table: _PointTable, coefs, x, y, kernel) -> list | None:
+    """``mode_sum`` at one point in one array pass, or None where the kernel
+    gives no value per wave."""
     if not table.rows:
-        return [0.0] * table.fr.shape[1]
-    amps = np.array([waves[w][2] for w in table.rows], dtype=complex)
-    ar, ai = amps.real[:, None], amps.imag[:, None]
-    cr = ar * table.fr - ai * table.fi
-    ci = ar * table.fi + ai * table.fr
+        return [0.0] * table.f.shape[1]
     if kernel is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # the loop warns, if it must run
-            k = []
-            for order in table.kernel_orders:
-                k.append(kernel(table.kx, table.ky, order))
-                if np.shape(k[-1]) != table.kx.shape:
-                    return None
-            k = np.stack(k, axis=-1)[:, table.columns]
-            cr, ci = cr * k, ci * k
-    if not (np.isfinite(cr).all() and np.isfinite(ci).all()):
-        return None
-    phase = table.kx * x + table.ky * y  # _phase's sums: x and y are finite
-    terms = cr * np.cos(phase)[:, None] - ci * np.sin(phase)[:, None]
+        k = [kernel(table.kx, table.ky, order) for order in table.kernel_orders]
+        if any(np.shape(v) != table.kx.shape for v in k):
+            return None
+        coefs = coefs * np.stack(k, axis=-1)[:, table.columns]
+    # _phase's rule: an axial wave takes the product of its own axis only
+    px, py = table.kx * x, table.ky * y
+    phase = np.where(table.ky == 0.0, px, np.where(table.kx == 0.0, py, px + py))
+    terms = np.where(table.f != 0, (coefs * np.exp(1j * phase)[:, None]).real, 0.0)
+    # in wave order, as the loop adds them; plus 0.0, the loop's sum from +0.0
     return (np.add.accumulate(terms)[-1] + 0.0).tolist()
 
 

@@ -58,8 +58,10 @@ _ONE = Decimal(1)
 def partials(generator, orders, x, y, z=None) -> list:
     """(exact value, scale) of each partial derivative at a float point: an (nx, ny)
     order of the generator P when z is None, else an (nx, ny, nz) order of P's odd
-    continuation.  Values and scales are Fractions for a polynomial and Decimals
-    for a Fourier generator."""
+    continuation.  Values and scales are (numerator, denominator) pairs of
+    integers for a polynomial, left unreduced, since a gcd of integers of tens of
+    thousands of bits costs more than the rest of the oracle, and Decimals for a
+    Fourier generator."""
     orders = tuple(map(tuple, orders))
     if hasattr(generator, "waves"):
         with decimal.localcontext(_CONTEXT):
@@ -73,12 +75,17 @@ def pseudopotential(gradient, kappa=1.0) -> tuple:
 
     A component g computed within ``K * eps * S`` of its exact value has a square
     within ``K * eps * S * (2|g| + S)`` of g**2, as ``K * eps`` is below 1, so
-    the scale is ``kappa * sum S * (2|g| + S)`` over the three components.
+    the scale is ``kappa * sum S * (2|g| + S)`` over the three components.  Both
+    are unreduced (numerator, denominator) pairs.
     """
-    kappa = Fraction(kappa)
-    grad = [tuple(map(Fraction, pair)) for pair in gradient]
-    return (kappa * sum(g * g for g, _ in grad),
-            kappa * sum(s * (2 * abs(g) + s) for g, s in grad))
+    num, den, snum, sden = 0, 1, 0, 1
+    for g, s in gradient:
+        (a, b), (c, d) = ratio(g), ratio(s)
+        # g = a/b adds a*a / (b*b), and S = c/d adds c * (2|a|d + cb) / (b*d*d)
+        num, den = num * b * b + a * a * den, den * b * b
+        snum, sden = snum * b * d * d + c * (2 * abs(a) * d + c * b) * sden, sden * b * d * d
+    k, m = Fraction(kappa).as_integer_ratio()
+    return (k * num, m * den), (k * snum, m * sden)
 
 
 def gradient_norm(gradient) -> tuple:
@@ -90,10 +97,10 @@ def gradient_norm(gradient) -> tuple:
     squares, their sum and the square root round it by a few eps relative, so
     the scale is ``sum S`` plus the norm.
     """
-    square, _ = pseudopotential(gradient)
+    (num, den), _ = pseudopotential(gradient)
     with decimal.localcontext(_CONTEXT):
-        norm = (Decimal(square.numerator) / square.denominator).sqrt()
-    return norm, sum(Fraction(s) for _, s in gradient) + Fraction(norm)
+        norm = (Decimal(num) / den).sqrt()
+    return norm, sum(Fraction(*ratio(s)) for _, s in gradient) + Fraction(norm)
 
 
 def sinh_kernel(k: float, z: float, order: int) -> tuple:
@@ -110,12 +117,17 @@ def error(got: float, exact: tuple) -> float:
     """|got - value| in units of ``eps * scale + TINY``; inf where got is not finite."""
     if not math.isfinite(got):
         return math.inf
-    (n, d), (s, e) = (Fraction(v).as_integer_ratio() for v in exact)
+    (n, d), (s, e) = map(ratio, exact)
     a, b = float(got).as_integer_ratio()
     try:  # in integers: a Fraction quotient would reduce every operand by its gcd
         return (abs(a * d - n * b) * e << 1022) / (b * d * ((s << 970) + e))
     except OverflowError:
         return math.inf
+
+
+def ratio(value) -> tuple:
+    """(numerator, denominator) of an exact value: a pair as it is, else its ratio."""
+    return value if isinstance(value, tuple) else Fraction(value).as_integer_ratio()
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +222,7 @@ def _polynomial(terms, orders, x, y, z) -> list:
                 total += zs[n] * run
                 scale += abs(zs[n]) * mags + abs(total)
         den <<= e + ez
-        out.append((Fraction(total, den), Fraction(scale, den)))
+        out.append(((total, den), (scale, den)))
     return out
 
 

@@ -8,11 +8,10 @@ mask, edge and chaining work into numpy and integer adjacency lists and
 refined every seed of a grid as one batch.  Polylines are compared by their
 ``repr``, so a vertex must keep the sign of a zero coordinate too.
 None of these changes alters the arithmetic, so the results must be equal
-exactly, bit for bit, not within a tolerance.  Newton's batches evaluate
-with a grid's arithmetic, so a seed alone is refined at 1-element arrays
-where a Fourier amplitude has two nonzero parts (numpy's array complex
-product may fuse where its scalar one does not), and at scalar points
-otherwise; ``EARLIER_CRITICAL_POINTS`` holds what the batches found before.
+exactly, bit for bit, not within a tolerance.  A point has the bits of the
+same point as 1-element arrays, so a seed alone is refined at scalar points,
+whatever its generator's amplitudes; ``EARLIER_CRITICAL_POINTS`` holds what
+the batches found before.
 
 ``reference_partials`` is the ``algebra.Partials`` loop that differentiated
 every order from the base, where ``Partials`` now takes each order from its
@@ -21,7 +20,10 @@ values from ``eval``, must be equal.
 
 ``reference_multipole_order`` reads the Taylor coefficients of a polynomial
 field by recentering each series layer exactly, where ``multipole_order``
-now divides analytic derivatives by factorials.  The coefficients differ in
+now divides analytic derivatives by factorials.  Both take the potential
+times the power of two that puts its largest coefficient in [0.5, 1), so
+the order does not depend on scale (a property checked on its own), and a
+subnormal coefficient is not lost to underflow.  The coefficients differ in
 the last bits, so the order, a threshold on them, must be the same, except
 where a level lies on the threshold to within a few ulps (a point at x = 1e-9
 puts 25*x**3 on 1e-9 * 25*x**2, one ulp wide): there the order must lie
@@ -47,9 +49,9 @@ from conftest import polys
 from test_open_axes import SPEC_SWEEP
 import trapnet
 from trapnet import analysis
-from trapnet import (FourierGen, PlanarJet, Poly2, X, Y, catalog, critical_points, odd_extend,
-                     parse_fourier, parse_polynomial, synthesize, threshold_scan)
-from trapnet.algebra import Partials
+from trapnet import (Field, FourierGen, PlanarJet, Poly2, X, Y, catalog, critical_points,
+                     odd_extend, parse_fourier, parse_polynomial, synthesize, threshold_scan)
+from trapnet.algebra import Partials, ZSeries
 from trapnet.analysis import (_TAYLOR_ORDERS, DEDUP_TOL, THRESHOLD_XTOL, Polyline,
                               _form_determinant, _refine_newton, multipole_order, null_lines)
 
@@ -152,10 +154,8 @@ def reference_chain_segments(segments):
     return polylines
 
 
-def reference_refine_newton(jet, p, span, max_iter=120, arrays=False):
+def reference_refine_newton(jet, p, span, max_iter=120):
     def partials(orders, p):
-        if arrays:  # the point as 1-element arrays
-            return [float(v[0]) for v in jet.partials(orders, p[:1], p[1:])]
         return jet.partials(orders, p[0], p[1])
 
     max_step = 0.25 * span
@@ -204,10 +204,19 @@ def reference_partials(base, orders, *coords):
 TIE = 16 * sys.float_info.epsilon
 
 
+def _unit_scaled(layers: dict) -> dict:
+    """The layers times the power of two that puts their largest coefficient in
+    [0.5, 1): the order does not depend on scale, and recentering a subnormal
+    coefficient would lose it to underflow."""
+    e = math.frexp(max(abs(c) for layer in layers.values() for c in layer.terms.values()))[1]
+    return {n: Poly2({ij: math.ldexp(c, -e) for ij, c in layer.terms.items()})
+            for n, layer in layers.items()}
+
+
 def reference_multipole_order(field, point3, max_order=4, tol=1e-9):
     x0, y0, z0 = point3
     coeffs = {}
-    for n, layer in field.potential.layers.items():
+    for n, layer in _unit_scaled(field.potential.layers).items():
         shifted = layer.taylor_shift(x0, y0)
         for k in range(0, min(n, max_order) + 1):
             zfac = z0 ** (n - k) / (math.factorial(n - k) * math.factorial(k))
@@ -238,24 +247,18 @@ def _general_complex(generator) -> bool:
 
 
 def assert_same_newton(generator, window, resolution):
-    """Refine a seed grid as one batch and each seed alone; compare per seed.
-
-    A seed alone is refined at scalar points, or, for a generator with a
-    general complex amplitude, at 1-element arrays: Newton evaluates its
-    batch with numpy's array complex product there, which may fuse its
-    multiply and subtraction where the scalar product does not.
-    """
+    """Refine a seed grid as one batch and each seed alone, at scalar points;
+    compare per seed."""
     x0, x1, y0, y1 = window
     span = max(x1 - x0, y1 - y0)
     jet = PlanarJet(generator)
-    arrays = _general_complex(generator)
     seeds = np.array([(sx, sy) for sx in np.linspace(x0, x1, resolution)
                       for sy in np.linspace(y0, y1, resolution)])
     refined = _refine_newton(jet, seeds, span)
     assert len(refined) == len(seeds)
     converged = 0
     for seed, got in zip(seeds, refined):
-        want = reference_refine_newton(jet, seed, span, arrays=arrays)
+        want = reference_refine_newton(jet, seed, span)
         if want is None:
             assert got is None
         else:
@@ -320,6 +323,7 @@ points = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
 @given(polys(max_degree=6, max_terms=5, coeffs=coeffs), points, points,
        st.one_of(st.just(0.0), points.filter(lambda z: z != 0.0)))
 @example(Poly2({(5, 0): 2.5}), 1e-09, -1.0, 0.0)  # x**2 z and x**3 z levels tie
+@example(Poly2({(4, 0): 5e-324}), 0.3125, -1.0, 0.0)  # a subnormal coefficient
 def test_multipole_order_matches_recentering(p, x, y, z):
     fld = synthesize(p)
     if fld.potential.is_zero():
@@ -332,6 +336,29 @@ def test_multipole_order_matches_recentering(p, x, y, z):
         assert order == low
     else:
         assert low <= order <= high
+
+
+@st.composite
+def scaled_potentials(draw):
+    """A random polynomial's odd continuation, and a power of two k that keeps each
+    of its coefficients normal when they are multiplied by it."""
+    p = draw(polys(max_degree=6, max_terms=5, coeffs=coeffs).filter(lambda p: not p.is_zero()))
+    layers = odd_extend(p).layers
+    exponents = [math.frexp(c)[1] for layer in layers.values() for c in layer.terms.values()]
+    k = draw(st.integers(-1021 - min(exponents), 1024 - max(exponents)))
+    return layers, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_potentials(), points, points, st.one_of(st.just(0.0), points))
+@example(({1: Poly2({(1, 1): 3.0, (0, 1): 1.0})}, 1022), 1.0, 1.0, 0.5)  # overflows unscaled
+def test_multipole_order_does_not_depend_on_scale(scaled, x, y, z):
+    layers, k = scaled
+    times = {n: Poly2({ij: math.ldexp(c, k) for ij, c in layer.terms.items()})
+             for n, layer in layers.items()}
+    point = (x, y, z)
+    assert multipole_order(Field(ZSeries(times)), point) == \
+        multipole_order(Field(ZSeries(layers)), point)
 
 
 def test_multipole_order_tie_is_on_the_threshold():
@@ -493,8 +520,7 @@ def seeded_fourier_sum(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_refine_newton_matches_two_call_loop_seeded_fourier_sum(seed):
-    # sine terms give complex amplitudes; seed 1's sum has a general complex
-    # one, and its seeds alone are refined at 1-element arrays
+    # sine terms give complex amplitudes, and seed 1's sum a general complex one
     gen = seeded_fourier_sum(seed)
     assert any(mode.amp.imag != 0.0 for mode in gen.modes)
     assert _general_complex(gen) == (seed == 1)
@@ -569,7 +595,7 @@ def test_refine_newton_matches_scalar_loop_on_round(c):
 @pytest.mark.parametrize("text", [text for family, text in SPEC_SWEEP if family == "fourier"])
 def test_refine_newton_matches_one_seed_loop_on_spec_sweep_templates(text):
     # the template with a shifted sine, 1.23 + sin(...), has general complex
-    # amplitudes; the others' are real or imaginary, refined alone at points
+    # amplitudes; the others' are real or imaginary
     gen = parse_fourier(text, (2.0, 2.0))
     assert _general_complex(gen) == ("1.23 + sin(" in text)
     assert assert_same_newton(gen, (-1.3, 1.3, -1.3, 1.3), 8) > 0

@@ -7,8 +7,7 @@ its term for underflow (see its docstring).  ``PlanarJet.partials``,
 every generator and point below, up to third order: in one batch, on dense
 grids and open axes, and with scalars beside an array.  Fourier generators
 are checked at single points too, where ``mode_sum`` takes its one-pass sum,
-and as 1-element arrays, where it takes its loop; numpy's complex product
-may fuse there for the phase-shifted generator.
+and as 1-element arrays, where it takes its loop.
 
 The generators are the catalog, spec-sweep's nine templates at seed 0 (read
 from ``bench/workloads.py``), round on both sides of its threshold, a sextic,
@@ -103,10 +102,11 @@ def assert_within(got, want, where, overflow=False):
     got = [np.asarray(g).item() for g in got]
     assert len(got) == len(want)
     for i, (g, (value, scale)) in enumerate(zip(got, want)):
-        if not np.isfinite(g) and (overflow or scale > FLOAT_MAX):  # the float sum overflows too
+        # the float sum overflows too
+        if not np.isfinite(g) and (overflow or Fraction(*exact.ratio(scale)) > FLOAT_MAX):
             continue
         err = exact.error(g, (value, scale))
-        assert err <= exact.K, (where, i, g, float(value), err)
+        assert err <= exact.K, (where, i, g, float(Fraction(*exact.ratio(value))), err)
 
 
 def _gradient(space):

@@ -1,24 +1,21 @@
-"""Fourier mode sums at a point, in one array pass, against the per-term loop.
+"""Fourier mode sums at a point against the same point as 1-element arrays.
 
-At finite scalar or 0-d coordinates ``generators.mode_sum`` forms its sums in
-one array pass over the waves (``generators._point_sum``); arrays, and points
-where a coefficient or kernel value is not finite, go through the per-term
-loop.  Both must give the same bits, compared as ``float.hex``.
+At scalar or 0-d coordinates ``generators.mode_sum`` forms its sums in one
+array pass over the waves (``generators._point_sum``); arrays go through the
+loop over waves.  Both read one complex array of coefficients per call, and
+the point pass takes numpy's array complex product for every term, which the
+loop takes for a general complex coefficient and which rounds as the loop's
+real forms do for a real or imaginary one.  So a point must give the bits of
+the same point as 1-element arrays, compared as ``float.hex``, for every
+generator and every amplitude; where every amplitude is real or imaginary
+those are also the bits of the real forms that points took before.
 
-The front ends take a point as 0-d float64 arrays, so a float point and the
-same point as 0-d arrays both take the point pass.  The reference is the loop
-at that point, forced by a ``_point_sum`` that leaves every sum to it, with
-numpy's 0-d arithmetic; the point pass must equal it for every generator.
-As 1-element arrays the points take the loop over arrays, where numpy's
-complex product may fuse its multiply and subtraction; that equals the point
-pass where every amplitude is real or imaginary, so only those generators
-are compared with it.
-
-The generators are round, spec-sweep's four Fourier templates at seed 0 and
-a phase-shifted generator; the orders are every order up to
-``MULTIPOLE_MAX_ORDER``.  The points put x or y at +-0.0, and z at +-0, inside
-``_SMALL_KZ`` and at 300, where the sinh kernel overflows and the loop runs.
-A point (x, y) beside an array of z values is left to the loop as well.
+The generators are round, spec-sweep's four Fourier templates at seed 0, a
+phase-shifted generator and random Hermitian mode sets, with general complex
+amplitudes, subnormals and a wave whose factor ``(1j*kx)**n`` overflows.  The
+orders are every order up to ``MULTIPOLE_MAX_ORDER``.  The points put x or y
+at +-0.0, and z at +-0, inside ``_SMALL_KZ`` and at 300, where the sinh kernel
+overflows.  Only a point beside an array of z values is left to the loop.
 
 The loop and the point pass read one memoized table of wave factors per
 wavevectors and orders: points, arrays and Newton's batches of one generator
@@ -30,11 +27,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trapnet import PlanarJet, catalog, parse_fourier, synthesize
+from trapnet import FourierGen, FourierMode, PlanarJet, catalog, parse_fourier, synthesize
 from trapnet import generators
 from trapnet.analysis import _NEWTON_ORDERS, MULTIPOLE_MAX_ORDER, _refine_newton
 from test_open_axes import SPEC_SWEEP
+from test_oracle import coeffs, coords, hermitian_modes
 
 GENERATORS = {"round": catalog("round").compile()}
 GENERATORS.update({text: parse_fourier(text, (2.0, 2.0))
@@ -43,8 +43,8 @@ GENERATORS["phase-shifted"] = parse_fourier("cos(pi*x + 0.3) - 0.4*sin(pi*(x + y
                                             (2.0, 2.0))
 
 
-def _real_or_imaginary(gen) -> bool:
-    return all(mode.amp.real == 0 or mode.amp.imag == 0 for mode in gen.modes)
+def _general_complex(gen) -> bool:
+    return any(mode.amp.real != 0 and mode.amp.imag != 0 for mode in gen.modes)
 
 
 ORDERS_2D = [o for o in itertools.product(range(MULTIPOLE_MAX_ORDER + 1), repeat=2)
@@ -71,55 +71,73 @@ def passes(monkeypatch):
     return taken
 
 
-def _by_the_loop(monkeypatch, compute):
-    """``compute()`` with every point's sums left to the per-term loop."""
-    with monkeypatch.context() as patch:
-        patch.setattr(generators, "_point_sum", lambda *args: None)
-        return compute()
-
-
 def test_two_generators_have_general_complex_amplitudes():
     # the phase-shifted one and the template with a shifted sine
-    assert sum(not _real_or_imaginary(gen) for gen in GENERATORS.values()) == 2
+    assert sum(map(_general_complex, GENERATORS.values())) == 2
 
 
 def _hex(values):
     return [float(np.reshape(v, -1)[0]).hex() if np.ndim(v) else v.hex() for v in values]
 
 
-@pytest.mark.parametrize("name", GENERATORS)
-def test_point_pass_matches_the_loop(passes, monkeypatch, name):
-    gen = GENERATORS[name]
+def assert_point_is_1_element_arrays(gen, points, zs):
+    """``PlanarJet.partials`` and ``Field.partials`` at each point, as floats and as
+    0-d arrays, give the bits of the same point as 1-element arrays."""
     jet, fld = PlanarJet(gen), synthesize(gen)
-    real_or_imaginary = _real_or_imaginary(gen)
-    for x, y in POINTS:
-        at_point = jet.partials(ORDERS_2D, x, y)
-        assert passes.pop() and all(type(v) is float for v in at_point)
-        # a point as 0-d arrays takes the point pass too
-        assert _hex(jet.partials(ORDERS_2D, np.asarray(x), np.asarray(y))) == _hex(at_point)
-        assert passes.pop()
-        want = _hex(_by_the_loop(monkeypatch, lambda: jet.partials(ORDERS_2D, x, y)))
+    for x, y in points:
+        with np.errstate(all="ignore"):  # an overflowing factor makes inf and nan
+            want = _hex(jet.partials(ORDERS_2D, np.array([x]), np.array([y])))
+            at_point = jet.partials(ORDERS_2D, x, y)
+            at_0d = jet.partials(ORDERS_2D, np.asarray(x), np.asarray(y))
+        assert all(type(v) is float for v in at_point)
         assert _hex(at_point) == want, (x, y)
-        if real_or_imaginary:
-            assert _hex(jet.partials(ORDERS_2D, np.array([x]), np.array([y]))) == want, (x, y)
-        for z in ZS:
-            with np.errstate(all="ignore"):
+        assert _hex(at_0d) == want, (x, y)
+        for z in zs:
+            with np.errstate(all="ignore"):  # and so does the kernel at z = 300
+                want = _hex(fld.partials(ORDERS_3D, *(np.array([c]) for c in (x, y, z))))
                 at_point = fld.partials(ORDERS_3D, x, y, z)
-                # the kernel overflows at z = 300, and the loop forms the sums
-                assert passes.pop() == (z != 300.0)
-                got = fld.partials(ORDERS_3D, np.asarray(x), np.asarray(y), np.asarray(z))
-                assert _hex(got) == _hex(at_point) and passes.pop() == (z != 300.0)
-                want = _hex(_by_the_loop(monkeypatch,
-                                         lambda: fld.partials(ORDERS_3D, x, y, z)))
-                assert _hex(at_point) == want, (x, y, z)
-                if real_or_imaginary:
-                    got = fld.partials(ORDERS_3D, np.array([x]), np.array([y]), np.array([z]))
-                    assert _hex(got) == want, (x, y, z)
-    assert not passes  # arrays never reach the point pass
+                at_0d = fld.partials(ORDERS_3D, *map(np.asarray, (x, y, z)))
+            assert all(type(v) is float for v in at_point)
+            assert _hex(at_point) == want, (x, y, z)
+            assert _hex(at_0d) == want, (x, y, z)
 
 
-@pytest.mark.parametrize("name", [name for name, gen in GENERATORS.items()
-                                  if _real_or_imaginary(gen)])
+@pytest.mark.parametrize("name", GENERATORS)
+def test_a_point_has_the_bits_of_1_element_arrays(passes, name):
+    assert_point_is_1_element_arrays(GENERATORS[name], POINTS, ZS)
+    # every point takes the point pass, at every z; arrays never reach it
+    assert passes == [True, True] * len(POINTS) * (1 + len(ZS))
+
+
+@st.composite
+def overflowing_modes(draw):
+    """A random Hermitian mode set with general complex amplitudes and subnormals,
+    and one pair of modes whose wavevector's fourth power overflows."""
+    gen = draw(hermitian_modes())
+    m = draw(st.sampled_from([10**78, 3 * 10**80]))
+    amp = complex(draw(coeffs), draw(coeffs.filter(bool)))
+    return FourierGen(gen.periods, [*gen.modes, FourierMode(m, 0, amp),
+                                    FourierMode(-m, 0, amp.conjugate())])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(hermitian_modes(), overflowing_modes()), coords, coords,
+       st.one_of(coords, st.floats(-1e-5, 1e-5)))
+def test_random_mode_sets_at_a_point_have_the_bits_of_1_element_arrays(gen, x, y, z):
+    assert_point_is_1_element_arrays(gen, [(x, y)], [z])
+
+
+def test_an_overflowing_factor_is_summed_at_a_point(passes):
+    gen = FourierGen((2.0, 2.0), [FourierMode(1, 1, 0.5 - 0.25j), FourierMode(-1, -1, 0.5 + 0.25j),
+                                  FourierMode(10**78, 0, 1e-300 + 2j),
+                                  FourierMode(-10**78, 0, 1e-300 - 2j)])
+    table = generators._PointTable([wave[:2] for wave in gen.waves], tuple(ORDERS_2D))
+    assert not np.isfinite(table.f).all()
+    assert_point_is_1_element_arrays(gen, POINTS, ZS)
+    assert all(passes)
+
+
+@pytest.mark.parametrize("name", GENERATORS)
 def test_a_point_beside_a_z_array_is_left_to_the_loop(passes, name):
     fld = synthesize(GENERATORS[name])
     waves = len(fld._engine._waves)
@@ -135,9 +153,9 @@ def test_a_point_beside_a_z_array_is_left_to_the_loop(passes, name):
 def test_each_set_of_orders_has_its_own_table(passes):
     gen = GENERATORS["phase-shifted"]
     for order in ORDERS_2D:  # as many sets of one order, on one set of waves
-        want = _hex(gen.partials([order], np.asarray(0.3), np.asarray(-0.7)))
+        want = _hex(gen.partials([order], np.array([0.3]), np.array([-0.7])))
         assert _hex(gen.partials([order], 0.3, -0.7)) == want, order
-    assert all(passes)
+    assert passes == [True] * len(ORDERS_2D)
 
 
 def test_numpy_integer_orders_take_the_int_bits(passes):
@@ -169,15 +187,14 @@ def test_int_and_numpy_integer_orders_share_one_table(tables):
     gen.partials(orders, np.array([0.3]), np.array([-0.7]))
     gen.partials(ORDERS_2D, 0.3, -0.7)
     (key, table), = tables().items()
-    assert table.usable and all(type(n) is int for order in key[2] for n in order)
-    for w, factors in zip(table.rows, table.factors):
+    assert all(type(n) is int for order in key[2] for n in order)
+    for w, row, terms in zip(table.rows, table.f.tolist(), table.terms):
         kx, ky = key[1][w]
-        for i, factor, order in factors:
-            # every count is an int, and takes Python's complex power
-            want = (1j * kx) ** order[0] * (1j * ky) ** order[1]
-            assert type(factor) is complex
-            assert (factor.real.hex(), factor.imag.hex()) == \
-                (want.real.hex(), want.imag.hex()), (w, i)
+        # every count is an int, and takes Python's complex power
+        want = [(1j * kx) ** nx * (1j * ky) ** ny for nx, ny in key[2]]
+        assert [(f.real.hex(), f.imag.hex()) for f in row] == \
+            [(f.real.hex(), f.imag.hex()) for f in want], w
+        assert terms == [(i, order) for i, (f, order) in enumerate(zip(want, key[2])) if f], w
 
 
 def test_points_arrays_and_newton_share_one_table(tables, passes):
