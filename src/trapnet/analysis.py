@@ -371,20 +371,19 @@ def critical_points(generator, window, resolution: int = 48) -> list[CriticalPoi
     span = max(x1 - x0, y1 - y0)
     seeds = np.column_stack([a.ravel() for a in np.meshgrid(xs, ys, indexing="ij")])
 
-    converged = []
-    pad = 1e-9 * max(span, 1.0)
-    for seed, p in zip(seeds, _refine_newton(jet, seeds, span)):
-        if p is None:
+    refined = _refine_newton(jet, seeds, span)
+    if log.isEnabledFor(logging.DEBUG):
+        for seed in seeds[[p is None for p in refined]]:
             log.debug("seed %s did not converge", tuple(seed))
-            continue
-        if not (x0 - pad <= p[0] <= x1 + pad and y0 - pad <= p[1] <= y1 + pad):
-            continue
-        converged.append((float(p[0]), float(p[1])))
+    found = np.array([p for p in refined if p is not None], dtype=float).reshape(-1, 2)
+    pad = 1e-9 * max(span, 1.0)
+    fx, fy = found.T
+    found = found[(x0 - pad <= fx) & (fx <= x1 + pad) & (y0 - pad <= fy) & (fy <= y1 + pad)]
 
     # keep the first point in sorted order, drop every later one within
     # DEDUP_TOL of it, and repeat on what is left
     out = []
-    rest = np.array(sorted(converged), dtype=float).reshape(-1, 2)
+    rest = found[np.lexsort((found[:, 1], found[:, 0]))]
     while len(rest):
         x, y = rest[0].tolist()
         rest = rest[1:]
@@ -411,7 +410,10 @@ def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.nd
     All seeds iterate together as arrays and leave the batch when they stop.
     Each takes the same steps as it would alone, bit for bit: its partials are
     elementwise, and the stacked ``det``/``solve`` and the row norms equal
-    their one-matrix calls.
+    their one-matrix calls.  An iteration is one engine call, one ``det``, one
+    ``solve`` and a few batch passes; the compaction, the masked Newton/Tikhonov
+    split and the clamp run only when a seed stops, a Hessian is near singular
+    or a step is too long.
     """
     # iterate to step-size convergence, not just to the gradient tolerance:
     # at degenerate roots (singular Hessian) the gradient tolerance alone
@@ -419,28 +421,32 @@ def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.nd
     max_step = 0.25 * span
     step_floor = 1e-13 * max(span, 1.0)
     bound = 1e6 * max(span, 1.0)
+    engine = jet._engine
 
-    def second_order(x, y):  # gradient and Hessian at the points, from the jet's engine
-        return [np.broadcast_to(v, x.shape) for v in jet._engine.partials(_NEWTON_ORDERS, x, y)]
-
-    p = np.array(seeds, dtype=float)
+    p = np.array(seeds, dtype=float)  # where each seed stopped
     escaped = np.zeros(len(p), dtype=bool)
     live = np.arange(len(p))
+    xy = p.T.copy()  # the live seeds' points, one contiguous row per axis
     for _ in range(NEWTON_MAX_ITER):
         if not live.size:
             break
-        gx, gy, hxx, hxy, hyy = second_order(p[live, 0], p[live, 1])
-        moving = (gx != 0.0) | (gy != 0.0)  # a zero gradient stops a seed where it is
-        live, gx, gy, hxx, hxy, hyy = (a[moving] for a in (live, gx, gy, hxx, hxy, hyy))
-        g = np.column_stack((gx, gy))
-        h = np.stack((hxx, hxy, hxy, hyy), axis=-1).reshape(-1, 2, 2)
-        scale = np.maximum(np.maximum(np.maximum(abs(hxx), abs(hxy)), abs(hyy)), 1e-30)
+        g, h = np.empty((live.size, 2)), np.empty((live.size, 2, 2))  # scalar partials broadcast
+        g[:, 0], g[:, 1], h[:, 0, 0], h[:, 0, 1], h[:, 1, 1] = engine.partials(_NEWTON_ORDERS, *xy)
+        h[:, 1, 0] = h[:, 0, 1]
+        moving = g.any(axis=1)  # a zero gradient stops a seed where it is
+        if not moving.all():
+            p[live[~moving]] = xy[:, ~moving].T
+            live, xy, g, h = live[moving], xy.compress(moving, axis=1), g[moving], h[moving]
+        a = abs(h)
+        scale = np.maximum(np.maximum(np.maximum(a[:, 0, 0], a[:, 0, 1]), a[:, 1, 1]), 1e-30)
         with np.errstate(divide="ignore"):  # a subnormal Hessian's det warns, and is +-0.0
             newton = abs(np.linalg.det(h)) > 1e-12 * scale * scale
-        step = np.empty_like(g)
-        if newton.any():
-            step[newton] = np.linalg.solve(h[newton], -g[newton, :, None])[:, :, 0]
-        if not newton.all():
+        if newton.all():
+            step = np.linalg.solve(h, -g[:, :, None])[:, :, 0]
+        else:
+            step = np.empty_like(g)
+            if newton.any():
+                step[newton] = np.linalg.solve(h[newton], -g[newton, :, None])[:, :, 0]
             # Tikhonov-damped least squares where the Hessian is near singular
             hd = h[~newton]
             ht = hd.transpose(0, 2, 1)
@@ -450,18 +456,23 @@ def _refine_newton(jet: PlanarJet, seeds: np.ndarray, span: float) -> list[np.nd
                                             -ht @ g[~newton, :, None])[:, :, 0]
         norm = _norms(step)
         clamp = norm > max_step
-        step[clamp] *= (max_step / norm[clamp])[:, None]
-        q = p[live] + step
-        p[live] = q
-        out = ~np.isfinite(q).all(axis=1) | (abs(q).max(axis=1) > bound)
-        escaped[live[out]] = True
-        live = live[~out & ~(norm < step_floor)]
+        if clamp.any():
+            step[clamp] *= (max_step / norm[clamp])[:, None]
+        xy += step.T
+        out = ~(abs(xy).max(axis=0) <= bound)  # beyond the bound, or not finite
+        stop = out | (norm < step_floor)
+        if stop.any():
+            escaped[live[out]] = True
+            p[live[stop]] = xy[:, stop].T
+            live, xy = live[~stop], xy.compress(~stop, axis=1)
+    p[live] = xy.T
     ok = np.flatnonzero(~escaped)
-    gradient = np.column_stack(second_order(p[ok, 0], p[ok, 1])[:2])
+    gradient = np.empty((ok.size, 2))
+    gradient[:, 0], gradient[:, 1], *_ = engine.partials(_NEWTON_ORDERS, p[ok, 0], p[ok, 1])
     converged = ok[_norms(gradient) < GRAD_REFINE_TOL]
     refined = [None] * len(p)
-    for k in converged.tolist():
-        refined[k] = p[k] + 0.0  # normalize -0.0 coordinates
+    for k, row in zip(converged.tolist(), p[converged] + 0.0):  # + 0.0 normalizes -0.0
+        refined[k] = row
     return refined
 
 

@@ -149,10 +149,11 @@ def _sinh_kernel(k, z, order: int):
 
 
 def _python_powers(k, n: int):
-    """``k ** n`` for a float k; for an array, each element's power as a Python float's."""
-    if not np.ndim(k):
-        return k ** n
-    return np.array([v ** n for v in k.tolist()])
+    """Python's float power ``k ** n`` for k >= 0, inf where it overflows; per element on arrays."""
+    try:
+        return np.array([v ** n for v in k.tolist()]) if np.ndim(k) else k ** n
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        return np.array([_python_powers(v, n) for v in k.tolist()]) if np.ndim(k) else math.inf
 
 
 class FourierField:

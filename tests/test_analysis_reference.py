@@ -35,6 +35,7 @@ either way.
 equal scipy's exactly (scipy is a test dependency only).
 """
 
+import logging
 import math
 import os
 import subprocess
@@ -250,10 +251,15 @@ def assert_same_newton(generator, window, resolution):
     """Refine a seed grid as one batch and each seed alone, at scalar points;
     compare per seed."""
     x0, x1, y0, y1 = window
-    span = max(x1 - x0, y1 - y0)
-    jet = PlanarJet(generator)
     seeds = np.array([(sx, sy) for sx in np.linspace(x0, x1, resolution)
                       for sy in np.linspace(y0, y1, resolution)])
+    return assert_same_refinement(generator, seeds, max(x1 - x0, y1 - y0))
+
+
+def assert_same_refinement(generator, seeds, span):
+    """Refine ``seeds`` as one batch and each alone; compare per seed, bits and
+    the sign of zero both, and return how many converged."""
+    jet = PlanarJet(generator)
     refined = _refine_newton(jet, seeds, span)
     assert len(refined) == len(seeds)
     converged = 0
@@ -644,6 +650,102 @@ def test_sextic_newton_takes_high_powers_point_by_point():
     # and this grid meets them
     gen = parse_polynomial("x^6 - 2*x^3*y^2 + y^4 - 0.25")
     assert assert_same_newton(gen, (-1.5, 1.5, -1.5, 1.5), 12) == 144
+
+
+# grad P = (x (x - a), y (y - b)), so the critical points are {0, a} x {0, b},
+# and the Hessian diag(2x - a, 2y - b) is singular on x = a/2 and on y = b/2.
+# On (-1, 1)^2 the window pad is 2e-9: a = 1 + 1e-9 lies inside it, b = 1 + 4e-9
+# outside
+PAD_A, PAD_B = 1.0 + 1e-9, 1.0 + 4e-9
+TWO_ROOTS = Poly2({(3, 0): 1 / 3, (2, 0): -PAD_A / 2, (0, 3): 1 / 3, (0, 2): -PAD_B / 2})
+BRANCH_SEEDS = [
+    (0.0, 0.0), (-0.0, 0.0),  # a zero gradient stops them at once; -0.0 leaves as 0.0
+    (PAD_A / 2, 0.0),  # a singular Hessian: a damped step of zero, so it stops unconverged
+    (10.0, 0.8),  # clamped steps for its first iterations, then (a, b)
+    (0.9, -0.2), (0.1, 0.9),  # steps that never clamp
+    (1e7, 0.2),  # beyond the bound 2e6
+    (1e200, 0.2),  # an overflowing gradient: an infinite step, a nan point
+]
+
+
+def _first_steps(generator, seeds):
+    """Each seed's undamped Newton step, from the one-seed partials."""
+    jet = PlanarJet(generator)
+    out = []
+    for x, y in seeds:
+        gx, gy, hxx, hxy, hyy = jet.partials(analysis._NEWTON_ORDERS, x, y)
+        out.append(np.linalg.solve([[hxx, hxy], [hxy, hyy]], [-gx, -gy]))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing seed
+def test_refine_newton_takes_every_branch_as_the_one_seed_loop(monkeypatch):
+    span = 2.0
+    seeds = np.array(BRANCH_SEEDS)
+    calls = []  # (name, batch size) of each det and solve, in order
+    with monkeypatch.context() as m:
+        for name in ("det", "solve"):
+            def record(a, *rest, _name=name, _f=getattr(np.linalg, name)):
+                calls.append((_name, len(a)))
+                return _f(a, *rest)
+            m.setattr(np.linalg, name, record)
+        _refine_newton(PlanarJet(TWO_ROOTS), seeds, span)
+    iterations = []  # per det: the batch size and the sizes solved
+    for name, n in calls:
+        if name == "det":
+            iterations.append((n, []))
+        else:
+            iterations[-1][1].append(n)
+    # first the zero gradients leave and the Newton and damped rows are solved
+    # apart; then the singular and escaped seeds have left, and the Newton
+    # rows are solved as the whole batch
+    assert iterations[:2] == [(6, [4, 2]), (3, [3])]
+    steps = [np.linalg.norm(step) for step in _first_steps(TWO_ROOTS, BRANCH_SEEDS[3:6])]
+    assert steps[0] > 0.25 * span >= max(steps[1:])
+
+    assert assert_same_refinement(TWO_ROOTS, seeds, span) == 5
+    refined = _refine_newton(PlanarJet(TWO_ROOTS), seeds, span)
+    assert [p is None for p in refined] == [False, False, True, False, False, False, True, True]
+    assert [math.copysign(1.0, v) for v in refined[1]] == [1.0, 1.0]
+    assert abs(refined[3][0] - PAD_A) < 1e-15 and abs(refined[3][1] - PAD_B) < 1e-15
+
+
+def test_critical_points_window_pad_as_the_one_seed_loop():
+    # the limits the seeds reach alone, kept as the per-seed loop kept them
+    window, res = (-1.0, 1.0, -1.0, 1.0), 5
+    pad = 1e-9 * 2.0
+    seeds = [(x, y) for x in np.linspace(-1.0, 1.0, res) for y in np.linspace(-1.0, 1.0, res)]
+    jet = PlanarJet(TWO_ROOTS)
+    limits = [reference_refine_newton(jet, np.array(seed), 2.0) for seed in seeds]
+    limits = [(float(p[0]), float(p[1])) for p in limits if p is not None]
+    inside = sorted((x, y) for x, y in limits
+                    if -1 - pad <= x <= 1 + pad and -1 - pad <= y <= 1 + pad)
+    assert any(x > 1.0 for x, _ in inside) and any(y > 1.0 for _, y in limits)
+    assert not any(y > 1.0 for _, y in inside)
+    kept = []
+    for p in inside:
+        if all(math.hypot(p[0] - q[0], p[1] - q[1]) >= DEDUP_TOL for q in kept):
+            kept.append(p)
+    assert [(cp.x, cp.y) for cp in critical_points(TWO_ROOTS, window, res)] == kept
+
+
+def test_critical_points_logs_each_seed_that_did_not_converge(caplog):
+    # x = 0 makes the Hessian singular, so the seeds there never converge
+    gen = parse_polynomial("x^3 - 3*x + y^2")
+    window, res = (-2.0, 2.0, -2.0, 2.0), 5
+    seeds = np.array([(x, y) for x in np.linspace(-2.0, 2.0, res)
+                      for y in np.linspace(-2.0, 2.0, res)])
+    jet = PlanarJet(gen)
+    want = [f"seed {tuple(seed)} did not converge" for seed in seeds
+            if reference_refine_newton(jet, seed, 4.0) is None]
+    assert len(want) == res
+    caplog.set_level(logging.DEBUG, logger="trapnet.analysis")
+    found = critical_points(gen, window, res)
+    assert [r.getMessage() for r in caplog.records] == want
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="trapnet.analysis")
+    assert critical_points(gen, window, res) == found
+    assert caplog.records == []
 
 
 # ----------------------------------------------------------------------

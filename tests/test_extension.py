@@ -11,7 +11,9 @@ from conftest import polys, random_poly
 from trapnet import (Field, PlanarJet, Poly2, TrapParams, X, Y, ZSeries, catalog,
                      cauchy_extend, even_extend, odd_extend, odd_extend_fourier,
                      parse_fourier, parse_polynomial, sample_points, synthesize)
+from trapnet.analysis import MULTIPOLE_MAX_ORDER, multipole_order
 from trapnet.extension import _GRADIENT, _sinh_kernel
+from trapnet.generators import FourierGen, FourierMode
 
 CUSP = Y**2 - X**3
 
@@ -170,6 +172,27 @@ def test_sinh_kernel_small_z_branch():
     assert float(_sinh_kernel(k, 0.4, 1)) == pytest.approx(math.cosh(0.4 * k))
     assert float(_sinh_kernel(k, 0.4, 2)) == pytest.approx(k * math.sinh(0.4 * k))
     assert float(_sinh_kernel(k, 0.4, 3)) == pytest.approx(k**2 * math.cosh(0.4 * k))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0.0 and sinh overflows
+def test_overflowing_kernel_power_is_inf():
+    # k = pi * 10**110, so k**3 overflows a float: order 4 of the kernel is
+    # inf * sinh(k z), which is inf just off the plane, and the field's order-4
+    # partials are not finite, where they raised OverflowError
+    gen = FourierGen((2.0, 2.0), [FourierMode(10**110, 0, 0.5), FourierMode(-10**110, 0, 0.5)])
+    k = math.hypot(*gen.waves[0][:2])  # the wavenumber, as FourierField takes it
+    assert _sinh_kernel(k, 1e-300, 4) == math.inf
+    assert _sinh_kernel(np.array([k, 2.0]), 1e-300, 4).tolist() == \
+        [math.inf, 8.0 * math.sinh(2e-300)]
+    fld = synthesize(gen)
+    orders = [(0, 0, 4), (0, 0, 3), (1, 0, 4)]
+    for z in (0.0, 1e-300, 0.5):
+        at_point = fld.partials(orders, 0.1, 0.2, z)
+        assert [v.hex() for v in at_point] == \
+            [float(v[0]).hex() for v in fld.partials(orders, *np.array([[0.1], [0.2], [z]]))]
+        assert not math.isfinite(at_point[0]) and not math.isfinite(at_point[2])
+    assert math.isfinite(fld.partials([(0, 0, 3)], 0.1, 0.2, 0.0)[0])
+    assert multipole_order(fld, (0.1, 0.2, 0.0)) in range(MULTIPOLE_MAX_ORDER + 2)
 
 
 # ----------------------------------------------------------------------
