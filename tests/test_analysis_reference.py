@@ -664,7 +664,7 @@ BRANCH_SEEDS = [
     (10.0, 0.8),  # clamped steps for its first iterations, then (a, b)
     (0.9, -0.2), (0.1, 0.9),  # steps that never clamp
     (1e7, 0.2),  # beyond the bound 2e6
-    (1e200, 0.2),  # an overflowing gradient: an infinite step, a nan point
+    (1e200, 0.2),  # an overflowing gradient and Hessian scale: a damped step to nan
 ]
 
 
